@@ -712,14 +712,18 @@ def gmres_multi(
     Hessenberg least-squares state carried per column.  The *sequential*
     engine solves column by column through a shared
     :class:`GMRESWorkspace`.  Both report convergence per column
-    (:class:`GMRESBatchResult`) and reproduce the single-RHS iterates
-    exactly.
+    (:class:`GMRESBatchResult`) and reproduce the single-RHS iterates to
+    round-off: the block engine runs the same arithmetic, but its block
+    products and preconditioner applications may sum in a different
+    order, so its results can differ from the sequential engine's in the
+    last bits.
 
-    ``mode="auto"`` picks the block engine when a block-capable
-    preconditioner is present (its per-column application cost is what the
-    block engine amortizes); unpreconditioned systems stay sequential,
-    where each column's Krylov basis remains small enough to be
-    cache-resident.  A bare-callable ``operator`` (or a preconditioner
+    ``mode="auto"`` runs a one-column block sequentially (there is nothing
+    to amortize).  For wider blocks it picks the block engine when a
+    block-capable preconditioner is present (its per-column application
+    cost is what the block engine amortizes); unpreconditioned systems
+    stay sequential, where each column's Krylov basis remains small enough
+    to be cache-resident.  A bare-callable ``operator`` (or a preconditioner
     that is a bare callable rather than an object with ``solve``) cannot
     be assumed to accept ``(n, k)`` blocks, so those always run
     sequentially.
@@ -786,20 +790,22 @@ def gmres_multi(
             "preconditioner (an object with .solve, or None)"
         )
     if mode == "auto":
-        # The block engine amortizes the preconditioner application across
-        # columns, so it always wins when one is present.  Without a
-        # preconditioner the trade is per-column Python overhead against
-        # memory traffic on the (iterations, n, k) block basis: once that
-        # basis outgrows the cache the lockstep engine is bandwidth-bound
-        # and sequential solves (each with a small cache-resident basis)
-        # are faster.
+        # A single column has nothing to amortize, and the block engine's
+        # per-column bookkeeping makes it slower than the single-RHS loop,
+        # so k = 1 always runs sequentially.  For wider blocks the block
+        # engine amortizes the preconditioner application across columns,
+        # so it always wins when one is present.  Without a preconditioner
+        # the trade is per-column Python overhead against memory traffic on
+        # the (iterations, n, k) block basis: once that basis outgrows the
+        # cache the lockstep engine is bandwidth-bound and sequential
+        # solves (each with a small cache-resident basis) are faster.
         expected_steps = min(
             40,
             restart if restart is not None else 40,
             max_iterations if max_iterations is not None else 40,
         )
         basis_bytes = (expected_steps + 1) * n * k * 8
-        use_block = block_capable and (
+        use_block = block_capable and k > 1 and (
             preconditioner is not None or basis_bytes <= _BLOCK_BASIS_BUDGET_BYTES
         )
     else:

@@ -16,8 +16,36 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from repro.exceptions import SingularMatrixError
+from repro.linalg.triangular import TriangularSolver
+
+#: Block width ``k`` from which :meth:`ILUFactors.solve` applies the factors
+#: with the level-ordered :class:`TriangularSolver` instead of SuperLU.
+#: SuperLU substitutes column by column, so its cost grows linearly in
+#: ``k``; the level solver pays a fixed per-level overhead once per block.
+#: Chosen from ms per application of ``L2, U2`` of the R-MAT scale-14 Schur
+#: complement (n2 = 3,669, 135k factor non-zeros, 148 + 137 levels) on a
+#: 2-vCPU x86 machine, BLAS on one thread, medians of 41 alternated
+#: applications averaged over two runs, one Schur SpMV for scale:
+#:
+#: ====  =======  =====  ==========
+#:  k    SuperLU  level  Schur SpMV
+#: ====  =======  =====  ==========
+#:   1     0.50    2.97     0.20
+#:   8     2.3     3.9      0.9
+#:  12     2.9     3.6      0.9
+#:  16     4.7     4.9      1.6
+#:  20     5.3     4.9      1.6
+#:  24     8.0     6.7      2.4
+#:  32    11.0     8.1      3.9
+#:  64    19.7    11.3      6.8
+#: ====  =======  =====  ==========
+#:
+#: The two tie at 16; the level solver wins from 20 on and is built once
+#: per factor pair (~60 ms, ~1.7 MB at this size).
+LEVEL_SOLVE_CROSSOVER = 16
 
 
 @dataclass(frozen=True)
@@ -27,30 +55,38 @@ class ILUFactors:
     l: sp.csr_matrix
     u: sp.csr_matrix
 
-    def _solvers(self):
-        """Lazily built triangular solvers (cached on the instance).
+    def _solvers(self, width: int):
+        """Triangular solvers for a block of ``width`` columns (cached).
 
-        Fast path: a no-fill sparse LU of each (already triangular) factor
-        with natural ordering, giving C-speed substitutions.  Falls back to
-        the from-scratch level-scheduled :class:`TriangularSolver`; the two
-        paths are verified to agree in the test suite.
+        Narrow blocks use a no-fill natural-order sparse LU of each
+        (already triangular) factor, giving sequential C-speed
+        substitutions.  From :data:`LEVEL_SOLVE_CROSSOVER` columns on, the
+        level-ordered :class:`TriangularSolver` shares its per-level cost
+        across the block and wins; it is built on the first wide
+        application.  Neither is persisted with the factors.
+
+        SuperLU is built on the first application of any width.  Its
+        workspace is large and mostly untouched.  Built later, inside a
+        wide solve whose large temporaries have already been freed, glibc
+        serves it from dirty heap pages: at R-MAT scale 14 a serving
+        process then grew by up to 16 MB of RSS, where the level solver
+        itself holds ~2 MB.
         """
         cached = getattr(self, "_cached_solvers", None)
         if cached is None:
-            try:
-                from scipy.sparse.linalg import splu
-
-                lower = splu(sp.csc_matrix(self.l), permc_spec="NATURAL")
-                upper = splu(sp.csc_matrix(self.u), permc_spec="NATURAL")
-                cached = (lower.solve, upper.solve)
-            except Exception:  # pragma: no cover - exercised only without SuperLU
-                from repro.linalg.triangular import TriangularSolver
-
-                lower = TriangularSolver(self.l, lower=True, unit_diagonal=True)
-                upper = TriangularSolver(self.u, lower=False)
-                cached = (lower.solve, upper.solve)
+            lower = splu(sp.csc_matrix(self.l), permc_spec="NATURAL")
+            upper = splu(sp.csc_matrix(self.u), permc_spec="NATURAL")
+            cached = (lower.solve, upper.solve)
             object.__setattr__(self, "_cached_solvers", cached)
-        return cached
+        if width < LEVEL_SOLVE_CROSSOVER:
+            return cached
+        level = getattr(self, "_cached_level_solvers", None)
+        if level is None:
+            lower = TriangularSolver(self.l, lower=True, unit_diagonal=True)
+            upper = TriangularSolver(self.u, lower=False)
+            level = (lower.solve, upper.solve)
+            object.__setattr__(self, "_cached_level_solvers", level)
+        return level
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the preconditioner: return ``U^{-1} (L^{-1} rhs)``.
@@ -58,10 +94,12 @@ class ILUFactors:
         Applies the factors through forward/backward substitution; they are
         never inverted (Appendix B of the paper), so each application costs
         about one sparse matvec.  ``rhs`` may be a vector or an ``(n, k)``
-        matrix (both substitution engines support multi-RHS blocks).
+        matrix; the substitution engine is chosen by ``k`` (see
+        :data:`LEVEL_SOLVE_CROSSOVER`).
         """
-        solve_lower, solve_upper = self._solvers()
-        return solve_upper(solve_lower(np.asarray(rhs, dtype=np.float64)))
+        b = np.asarray(rhs, dtype=np.float64)
+        solve_lower, solve_upper = self._solvers(1 if b.ndim == 1 else b.shape[1])
+        return solve_upper(solve_lower(b))
 
     @property
     def nnz(self) -> int:

@@ -25,7 +25,9 @@ from repro.linalg.gmres import (
     gmres,
     gmres_multi,
 )
+from repro.linalg.ilu import LEVEL_SOLVE_CROSSOVER
 from repro.linalg.rwr_matrix import build_h_matrix
+from repro.linalg.triangular import TriangularSolver
 
 SOLVER_FACTORIES = {
     "BePI": lambda: BePI(c=0.05, tol=1e-10),
@@ -88,6 +90,28 @@ def test_batch_counts_queries_in_stats(small_graph):
     assert solver.stats["queries"] == 3
     solver.query(0)
     assert solver.stats["queries"] == 4
+
+
+def test_wide_block_matches_looped_single_seeds(medium_graph, monkeypatch):
+    """A 64-seed block applies the preconditioner through the level-ordered
+    solver; single-seed queries use SuperLU.  Both agree to round-off."""
+    solver = BePI(c=0.05, tol=1e-10).preprocess(medium_graph)
+    widths = []
+    level_solve = TriangularSolver.solve
+
+    def recording_solve(self, rhs):
+        widths.append(rhs.shape[1])
+        return level_solve(self, rhs)
+
+    monkeypatch.setattr(TriangularSolver, "solve", recording_solve)
+    seeds = np.random.default_rng(0).choice(medium_graph.n_nodes, 64, replace=False)
+    batched = solver.query_many(seeds.tolist())
+    assert widths and max(widths) == 64
+    assert min(widths) >= LEVEL_SOLVE_CROSSOVER
+    n_wide = len(widths)
+    looped = np.stack([solver.query(int(seed)) for seed in seeds])
+    assert len(widths) == n_wide
+    np.testing.assert_allclose(batched, looped, atol=1e-12, rtol=0)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for sparse triangular solves (reference and level-scheduled)."""
+"""Tests for sparse triangular solves (reference and level-ordered)."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SingularMatrixError
+from repro.linalg.ilu import LEVEL_SOLVE_CROSSOVER, ilu0
 from repro.linalg.triangular import (
     TriangularSolver,
     solve_lower_triangular,
@@ -124,3 +125,103 @@ class TestLevelScheduledSolver:
         solver = TriangularSolver(mat, lower=lower)
         x = solver.solve(b)
         assert np.allclose(mat.toarray() @ x, b, atol=1e-8)
+
+
+def _reference_solve(mat, rhs, lower, unit_diagonal):
+    """Column-by-column row substitution: the oracle for the level solver."""
+    if unit_diagonal and not lower:
+        mat = sp.triu(mat, k=1) + sp.identity(mat.shape[0], format="csr")
+    columns = rhs.reshape(rhs.shape[0], -1)
+    solved = [
+        solve_lower_triangular(mat, columns[:, j], unit_diagonal=unit_diagonal)
+        if lower
+        else solve_upper_triangular(mat, columns[:, j])
+        for j in range(columns.shape[1])
+    ]
+    return np.stack(solved, axis=1).reshape(rhs.shape)
+
+
+def _laid_out(block, layout):
+    """``block`` as a C-order, F-order or non-contiguous array."""
+    if layout == "C":
+        return np.ascontiguousarray(block)
+    if layout == "F":
+        return np.asfortranarray(block)
+    # Every other row of a twice-as-tall array: a strided, non-contiguous view.
+    tall = np.zeros((2 * block.shape[0],) + block.shape[1:])
+    tall[::2] = block
+    return tall[::2]
+
+
+@st.composite
+def triangular_systems(draw):
+    """A triangular system with random shape, sparsity, diagonal and rhs."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    lower = draw(st.booleans())
+    unit_diagonal = draw(st.booleans())
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.8]))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+    dense = np.tril(dense, -1) if lower else np.triu(dense, 1)
+    # Some rows without off-diagonal entries; unit-diagonal systems store
+    # either no diagonal or one the solver must ignore.
+    dense[rng.random(n) < 0.3] = 0.0
+    if not unit_diagonal or draw(st.booleans()):
+        np.fill_diagonal(dense, rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n))
+    width = draw(st.sampled_from([None, 1, 3, 8]))
+    shape = (n,) if width is None else (n, width)
+    rhs = _laid_out(rng.standard_normal(shape), draw(st.sampled_from(["C", "F", "strided"])))
+    return sp.csr_matrix(dense), lower, unit_diagonal, rhs
+
+
+class TestLevelOrderedProperties:
+    @given(triangular_systems())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_row_substitution(self, system):
+        mat, lower, unit_diagonal, rhs = system
+        before = rhs.copy()
+        solver = TriangularSolver(mat, lower=lower, unit_diagonal=unit_diagonal)
+        x = solver.solve(rhs)
+        np.testing.assert_array_equal(rhs, before)
+        expected = _reference_solve(mat, before, lower, unit_diagonal)
+        assert x.shape == rhs.shape
+        np.testing.assert_allclose(x, expected, rtol=1e-10, atol=1e-10)
+
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_zero_diagonal_raises(self, n, seed, lower):
+        mat = _random_triangular(n, seed, lower=lower).tolil()
+        mat[int(np.random.default_rng(seed).integers(n)), :] = 0.0
+        with pytest.raises(SingularMatrixError):
+            TriangularSolver(mat.tocsr(), lower=lower)
+
+
+class TestILUWidthDispatch:
+    @pytest.fixture(scope="class")
+    def factors(self):
+        rng = np.random.default_rng(3)
+        n = 300
+        dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.03)
+        np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
+        return ilu0(sp.csr_matrix(dense))
+
+    @pytest.mark.parametrize("width", [LEVEL_SOLVE_CROSSOVER - 1, LEVEL_SOLVE_CROSSOVER])
+    def test_block_matches_single_column_superlu(self, factors, width):
+        block = np.random.default_rng(width).standard_normal((factors.l.shape[0], width))
+        x = factors.solve(block)
+        # A one-dimensional rhs always takes the SuperLU path.
+        for j in range(width):
+            single = factors.solve(block[:, j])
+            np.testing.assert_allclose(x[:, j], single, rtol=1e-12, atol=0)
+
+    def test_level_solver_built_only_for_wide_blocks(self):
+        factors = ilu0(sp.csr_matrix(np.eye(5) * 2.0 + np.eye(5, k=1)))
+        factors.solve(np.ones((5, LEVEL_SOLVE_CROSSOVER - 1)))
+        assert not hasattr(factors, "_cached_level_solvers")
+        factors.solve(np.ones((5, LEVEL_SOLVE_CROSSOVER)))
+        assert hasattr(factors, "_cached_level_solvers")
