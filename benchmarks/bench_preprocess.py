@@ -12,16 +12,21 @@ Measures what the staged pipeline buys:
 - **parallel stages**: ``factorize_block_diagonal`` with ``n_jobs=4``
   versus ``n_jobs=1`` (the speed-up assertion only applies on multi-CPU
   hosts; results are bit-identical regardless).
+- **build stages**: the seconds of each stage of one BePI preprocess,
+  ending with ``ilu_seconds`` for the ILU(0) preconditioner.
 
 Run modes
 ---------
 ``--smoke``
     Small graph; checks the *structural* wins (the deadend stage runs
     exactly once per sweep, no winner rebuild) and bit-identity of the
-    staged / parallel paths.  Fast enough for CI.
+    staged / parallel paths, and ILU(0)'s defining property
+    ``(L2 U2)_ij = S_ij`` on the Schur complement's pattern.  Fast enough
+    for CI.
 default (full)
     Scale-13 R-MAT; times legacy-emulated auto-``k`` against the staged
-    sweep (asserts >= 1.5x) and the parallel block factorization.
+    sweep (asserts >= 1.5x), the parallel block factorization, and the
+    build stages.
 
 Usage::
 
@@ -176,6 +181,16 @@ def run_smoke() -> None:
     _assert_artifacts_equal(direct, parallel)
     print("smoke: n_jobs=4 build bit-matches n_jobs=1 build")
 
+    # 5. ILU(0)'s defining property: L2 U2 reproduces S on S's own pattern.
+    schur = fixed_solver.solver_artifacts.preprocess.schur.tocoo()
+    factors = fixed_solver.ilu_factors
+    product = (factors.l @ factors.u).tocsr()
+    on_pattern = np.asarray(product[schur.row, schur.col]).ravel()
+    error = np.abs(on_pattern - schur.data).max(initial=0.0)
+    assert error <= 1e-12, f"(L2 U2)_ij deviates from S_ij by {error:.3g} on S's pattern"
+    print(f"smoke: (L2 U2)_ij = S_ij on S's pattern ({schur.nnz:,} entries, "
+          f"max error {error:.1e})")
+
 
 def run_full(scale: int, n_edges: Optional[int], repeats: int) -> None:
     """Timed comparison on an R-MAT graph (default: scale 13)."""
@@ -206,6 +221,16 @@ def run_full(scale: int, n_edges: Optional[int], repeats: int) -> None:
         f"staged auto-k only {speedup:.2f}x faster than the legacy policy "
         "(want >= 1.5x)"
     )
+
+    # --- build stages of one preprocess (best of repeats) ---------------
+    stages: dict = {}
+    for _ in range(repeats):
+        stats = BePI(c=RESTART_PROBABILITY).preprocess(graph).stats
+        timings = {**stats["stage_timings"], "ilu_seconds": stats["ilu_seconds"]}
+        for stage, seconds in timings.items():
+            stages[stage] = min(seconds, stages.get(stage, seconds))
+    for stage, seconds in stages.items():
+        print(f"build stage  {stage:<24} {seconds * 1e3:8.1f}ms")
 
     # --- parallel block factorization ----------------------------------
     h11 = selection.artifacts.blocks["H11"]

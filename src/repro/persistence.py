@@ -133,6 +133,20 @@ def _preconditioner_kind(preconditioner: Any) -> str:
     return "ilu"
 
 
+#: Optional :class:`ILUFactors` fields, stored (under the same names) only
+#: for engines that permute, e.g. ``spilu``.
+_ILU_PERMUTATIONS = ("perm_r", "perm_c")
+
+
+def _ilu_permutations(factors: ILUFactors) -> Dict[str, np.ndarray]:
+    """The permutation arrays ``factors`` carries, by field name."""
+    return {
+        name: getattr(factors, name)
+        for name in _ILU_PERMUTATIONS
+        if getattr(factors, name) is not None
+    }
+
+
 def _require_bepi_bundle(source: Union[BePI, SolverArtifacts]) -> SolverArtifacts:
     if isinstance(source, SolverArtifacts):
         bundle = source
@@ -197,6 +211,7 @@ def save_solver(solver: BePI, path: PathLike) -> Path:
     if isinstance(bundle.preconditioner, ILUFactors):
         _pack_csr(arrays, "L2", bundle.preconditioner.l)
         _pack_csr(arrays, "U2", bundle.preconditioner.u)
+        arrays.update(_ilu_permutations(bundle.preconditioner))
     elif isinstance(bundle.preconditioner, JacobiPreconditioner):
         arrays["M_diag"] = bundle.preconditioner.inverse_diagonal
 
@@ -258,7 +273,9 @@ def _load_npz_bundle(path: Path) -> SolverArtifacts:
         preconditioner = None
         if meta["preconditioner_kind"] == "ilu":
             preconditioner = ILUFactors(
-                l=_unpack_csr(archive, "L2"), u=_unpack_csr(archive, "U2")
+                l=_unpack_csr(archive, "L2"),
+                u=_unpack_csr(archive, "U2"),
+                **{name: archive[name] for name in _ILU_PERMUTATIONS if name in archive.files},
             )
         elif meta["preconditioner_kind"] == "jacobi":
             preconditioner = JacobiPreconditioner.from_inverse_diagonal(
@@ -399,6 +416,8 @@ def save_artifacts(
     if kind == "ilu":
         write_csr("L2", bundle.preconditioner.l)
         write_csr("U2", bundle.preconditioner.u)
+        for name, perm in _ilu_permutations(bundle.preconditioner).items():
+            write_dense(name, perm)
     elif kind == "jacobi":
         write_dense("M_diag", bundle.preconditioner.inverse_diagonal)
 
@@ -513,7 +532,15 @@ def load_artifacts(
 
     preconditioner = None
     if manifest["preconditioner_kind"] == "ilu":
-        preconditioner = ILUFactors(l=read_csr("L2"), u=read_csr("U2"))
+        preconditioner = ILUFactors(
+            l=read_csr("L2"),
+            u=read_csr("U2"),
+            **{
+                name: read(name)
+                for name in _ILU_PERMUTATIONS
+                if (arrays_dir / f"{name}.npy").is_file()
+            },
+        )
     elif manifest["preconditioner_kind"] == "jacobi":
         preconditioner = JacobiPreconditioner.from_inverse_diagonal(read("M_diag"))
 

@@ -1,13 +1,137 @@
 """Tests for the from-scratch ILU(0) factorization."""
 
+from math import isqrt
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spilu
 
+from repro import BePI, generate_rmat
 from repro.exceptions import SingularMatrixError
-from repro.linalg.ilu import ilu0, spilu_factors
+from repro.linalg import ilu as ilu_module
+from repro.linalg.ilu import (
+    ILUFactors,
+    _diagonal_positions,
+    _ensure_diagonal,
+    ilu0,
+    spilu_factors,
+)
+
+
+def reference_ilu0(matrix: sp.spmatrix) -> ILUFactors:
+    """Row-by-row IKJ ILU(0) with one dict per row: the oracle for :func:`ilu0`.
+
+    Row ``i`` eliminates its lower entries ``(i, k)`` in ascending ``k``
+    against the finished rows ``k``, updating only positions already in
+    row ``i``'s pattern.
+    """
+    csr = sp.csr_matrix(matrix, dtype=np.float64)
+    n = csr.shape[0]
+    if n == 0:
+        empty = sp.csr_matrix((0, 0))
+        return ILUFactors(empty, empty)
+    work = _ensure_diagonal(csr)
+    work.sort_indices()
+    indptr, indices, data = work.indptr, work.indices, work.data
+
+    col_index = [
+        dict(zip(indices[indptr[i] : indptr[i + 1]].tolist(), range(indptr[i], indptr[i + 1])))
+        for i in range(n)
+    ]
+    for i in range(n):
+        lo, hi = indptr[i], indptr[i + 1]
+        for pos in range(lo, hi):
+            k = indices[pos]
+            if k >= i:
+                break
+            pivot_offset = col_index[k].get(k, -1)
+            pivot = data[pivot_offset] if pivot_offset >= 0 else 0.0
+            if pivot == 0.0:
+                raise SingularMatrixError(f"zero pivot at row {k} during ILU(0)")
+            factor = data[pos] / pivot
+            data[pos] = factor
+            k_row = col_index[k]
+            for pos_j in range(pos + 1, hi):
+                j = indices[pos_j]
+                k_offset = k_row.get(j, -1)
+                if k_offset >= 0:
+                    data[pos_j] -= factor * data[k_offset]
+
+    lower = sp.tril(work, k=-1).tocsr()
+    lower = (lower + sp.identity(n, format="csr")).tocsr()
+    upper = sp.triu(work, k=0).tocsr()
+    u_diag = upper.diagonal()
+    if np.any(u_diag == 0.0):
+        bad = int(np.flatnonzero(u_diag == 0.0)[0])
+        raise SingularMatrixError(f"zero pivot at row {bad} in ILU(0) result")
+    lower.sort_indices()
+    upper.sort_indices()
+    return ILUFactors(l=lower, u=upper)
+
+
+def _outcome(factorize, matrix):
+    """The factors, or ``"singular"`` if the factorization raised."""
+    try:
+        return factorize(matrix.copy())
+    except SingularMatrixError:
+        return "singular"
+
+
+def assert_bit_identical(got: ILUFactors, want: ILUFactors) -> None:
+    for name in ("l", "u"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape
+        for field in ("indptr", "indices", "data"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.dtype == y.dtype, (name, field)
+            assert np.array_equal(x, y), (name, field)
+            # array_equal treats 0.0 == -0.0; bit identity does not.
+            assert np.array_equal(np.signbit(x), np.signbit(y)), (name, field)
+
+
+def assert_same_outcome(matrix: sp.spmatrix) -> None:
+    got = _outcome(ilu0, matrix)
+    want = _outcome(reference_ilu0, matrix)
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+    else:
+        assert_bit_identical(got, want)
+
+
+@st.composite
+def ilu_inputs(draw):
+    """Square CSR matrices with missing, stored-zero and dominant diagonals,
+    empty rows, and small-integer values whose cancellations give zero
+    pivots mid-elimination."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    density = draw(st.floats(min_value=0.0, max_value=1.0))
+    if draw(st.booleans()):
+        values = rng.integers(-2, 3, size=(n, n)).astype(np.float64)
+    else:
+        values = rng.standard_normal((n, n))
+    dense = values * (rng.random((n, n)) < density)
+    diagonal = draw(st.sampled_from(["dominant", "as drawn", "missing", "stored zero"]))
+    if diagonal != "as drawn":
+        np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
+    dropped = rng.random(n) < draw(st.floats(min_value=0.0, max_value=0.5))
+    if diagonal in ("missing", "stored zero"):
+        dense[dropped, dropped] = 0.0
+    if draw(st.booleans()):
+        dense[rng.random(n) < 0.1] = 0.0  # empty rows
+    coo = sp.coo_matrix(dense)
+    if diagonal == "stored zero":
+        rows = np.flatnonzero(dropped)
+        coo = sp.coo_matrix(
+            (np.concatenate((coo.data, np.zeros(rows.size))),
+             (np.concatenate((coo.row, rows)), np.concatenate((coo.col, rows)))),
+            shape=(n, n),
+        )
+    return coo.tocsr()
 
 
 def _dd_matrix(n, density, seed):
@@ -126,6 +250,20 @@ class TestSpiluAdapter:
         rel = np.linalg.norm(factors.solve(b) - x_true) / np.linalg.norm(x_true)
         assert rel < 0.5
 
+    @pytest.mark.parametrize("width", [None, 1, ilu_module.LEVEL_SOLVE_CROSSOVER + 4])
+    def test_permuted_factors_match_superlu_solve(self, width):
+        """The stored factors plus permutations are SuperLU's own operator."""
+        schur = BePI(use_preconditioner=False).preprocess(
+            generate_rmat(10, 6000, seed=3)
+        ).solver_artifacts.preprocess.schur
+        factors = spilu_factors(schur)
+        reference = spilu(sp.csc_matrix(schur))
+        assert not np.array_equal(factors.perm_r, np.arange(schur.shape[0]))
+        shape = schur.shape[0] if width is None else (schur.shape[0], width)
+        rhs = np.random.default_rng(7).standard_normal(shape)
+        want = reference.solve(rhs)
+        assert np.abs(factors.solve(rhs) - want).max() <= 1e-12 * np.abs(want).max()
+
 
 class TestProperty:
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -137,3 +275,60 @@ class TestProperty:
         coo = mat.tocoo()
         recon = np.array([product[i, j] for i, j in zip(coo.row, coo.col)]).ravel()
         assert np.allclose(recon, coo.data, atol=1e-8)
+
+
+class TestMatchesReferenceLoop:
+    """The wavefront ILU(0) is bit-identical to the row-by-row IKJ loop."""
+
+    @given(ilu_inputs(), st.sampled_from([1, 3, 7, None]))
+    @settings(max_examples=300, deadline=None)
+    def test_property_bit_identical_or_both_singular(self, matrix, candidate_slice):
+        # Tiny slices cut wavefronts mid-row, at every possible offset.
+        slice_size = candidate_slice or ilu_module._CANDIDATE_SLICE
+        with mock.patch.object(ilu_module, "_CANDIDATE_SLICE", slice_size):
+            assert_same_outcome(matrix)
+
+    def test_zero_pivot_mid_elimination_raises_in_both(self):
+        # u_11 = 1 - 1 * 1 = 0 only after row 1 is eliminated against row 0.
+        mat = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]))
+        with pytest.raises(SingularMatrixError):
+            ilu0(mat)
+        with pytest.raises(SingularMatrixError):
+            reference_ilu0(mat)
+
+    def test_dense_block_crosses_the_candidate_slice(self):
+        # The first wavefront of a dense m x m block has (m - 1)^2 candidates.
+        m = isqrt(ilu_module._CANDIDATE_SLICE) + 2
+        assert (m - 1) ** 2 > ilu_module._CANDIDATE_SLICE
+        rng = np.random.default_rng(11)
+        dense = rng.standard_normal((m, m))
+        np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
+        matrix = sp.block_diag([dense, _dd_matrix(30, 0.2, seed=12)], format="csr")
+        assert_bit_identical(ilu0(matrix), reference_ilu0(matrix))
+
+    def test_bepi_schur_complement_rmat_scale_12(self):
+        graph = generate_rmat(12, 8 * 2**12, seed=5)
+        schur = BePI(use_preconditioner=False).preprocess(graph).solver_artifacts.preprocess.schur
+        assert schur.shape[0] > 500
+        assert_bit_identical(ilu0(schur), reference_ilu0(schur))
+
+
+class TestDiagonalPositions:
+    @given(ilu_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_row_search(self, matrix):
+        matrix.sort_indices()
+        want = np.full(matrix.shape[0], -1)
+        for i in range(matrix.shape[0]):
+            lo, hi = matrix.indptr[i], matrix.indptr[i + 1]
+            hits = np.flatnonzero(matrix.indices[lo:hi] == i)
+            if hits.size:
+                want[i] = lo + hits[0]
+        assert np.array_equal(_diagonal_positions(matrix), want)
+
+    def test_padding_adds_zero_diagonals_only_where_missing(self):
+        mat = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+        padded = _ensure_diagonal(mat)
+        assert np.all(_diagonal_positions(padded) >= 0)
+        assert np.array_equal(padded.toarray(), mat.toarray())
+        assert padded.nnz == mat.nnz + 2

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import BePI, BePIS, GraphFormatError, NotPreprocessedError
+from repro import BePI, BePIS, GraphFormatError, NotPreprocessedError, generate_rmat
 from repro.exceptions import ArtifactIntegrityError
 from repro.persistence import (
     artifact_nbytes,
@@ -233,8 +233,9 @@ class TestArtifactDirectory:
             lambda: BePI(tol=1e-11),
             lambda: BePIS(tol=1e-11),
             lambda: BePI(tol=1e-11, ilu_engine="jacobi"),
+            lambda: BePI(tol=1e-11, ilu_engine="spilu"),
         ],
-        ids=["ilu", "none", "jacobi"],
+        ids=["ilu", "none", "jacobi", "spilu"],
     )
     def test_roundtrip_is_bit_equal(self, small_graph, tmp_path, make_solver):
         original = make_solver().preprocess(small_graph)
@@ -310,6 +311,36 @@ class TestArtifactDirectory:
     def test_save_unpreprocessed_raises(self, tmp_path):
         with pytest.raises(NotPreprocessedError):
             save_artifacts(BePI(), tmp_path / "artifacts")
+
+
+class TestSpiluRoundtrip:
+    """SuperLU's row and column permutations survive both formats."""
+
+    @pytest.fixture(scope="class")
+    def spilu_solver(self):
+        return BePI(ilu_engine="spilu", tol=1e-10).preprocess(generate_rmat(11, 12000, seed=3))
+
+    @pytest.mark.parametrize("save", [save_solver, save_artifacts], ids=["npz", "directory"])
+    def test_preconditioner_and_iterations_survive(self, spilu_solver, tmp_path, save):
+        loaded = load_solver(save(spilu_solver, tmp_path / "saved"))
+        original_m = spilu_solver.solver_artifacts.preconditioner
+        loaded_m = loaded.solver_artifacts.preconditioner
+        assert loaded_m.perm_r is not None and loaded_m.perm_c is not None
+        rng = np.random.default_rng(0)
+        for shape in [original_m.l.shape[0], (original_m.l.shape[0], 24)]:
+            rhs = rng.standard_normal(shape)
+            want = original_m.solve(rhs)
+            assert np.abs(loaded_m.solve(rhs) - want).max() <= 1e-12 * np.abs(want).max()
+        seeds = [5, 17, 300]
+        assert np.array_equal(
+            loaded.query_many_detailed(seeds).iterations,
+            spilu_solver.query_many_detailed(seeds).iterations,
+        )
+
+    def test_ilu0_artifacts_store_no_permutations(self, small_graph, tmp_path):
+        save_artifacts(BePI().preprocess(small_graph), tmp_path / "artifacts")
+        names = {p.name for p in (tmp_path / "artifacts" / "arrays").iterdir()}
+        assert not {"perm_r.npy", "perm_c.npy"} & names
 
 
 class TestArtifactChecksums:
