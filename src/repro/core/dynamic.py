@@ -34,6 +34,7 @@ The public surface stays the batch-update contract:
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import queue as queue_module
 import time
@@ -374,8 +375,10 @@ class DynamicRWR:
                 raise InvalidParameterError(
                     f"got {len(weight_list)} weights for {len(pairs)} edges"
                 )
-            if any(w <= 0.0 for w in weight_list):
-                raise InvalidParameterError("edge weights must be positive")
+            if not all(0.0 < w < math.inf for w in weight_list):
+                raise InvalidParameterError(
+                    "edge weights must be positive and finite"
+                )
         for (u, v), w in zip(pairs, weight_list):
             self._validate_node(u)
             self._validate_node(v)

@@ -64,7 +64,7 @@ import scipy.sparse as sp
 
 from repro.core.engine import SolverArtifacts
 from repro.core.pipeline import PreprocessArtifacts
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import GraphFormatError, InvalidParameterError
 from repro.graph.graph import Graph
 from repro.linalg.block_lu import BlockDiagonalLU, factorize_block_diagonal
 from repro.linalg.rwr_matrix import build_h_matrix, partition_h
@@ -135,34 +135,74 @@ class UpdateBatch:
 def apply_batch(graph: Graph, batch: UpdateBatch) -> Optional[Graph]:
     """Apply ``batch`` to ``graph``; ``None`` when it cancels to a no-op.
 
-    Edge weights are carried through: the snapshot's weighted adjacency is
-    accumulated into an edge → weight map, insertions and deletions are
-    applied to it, and the new graph is rebuilt with those weights.  If
-    the map comes out identical to the snapshot's — an insertion later
-    removed, deletions of absent edges, re-inserting an existing edge
-    unweighted — the caller can skip the rebuild entirely.
+    Edge weights are carried through.  Only the batch's own ``(u, v)``
+    keys are resolved: each is looked up in its CSR row with a binary
+    search, insertions and then deletions are replayed on a map of those
+    keys alone, and the result is spliced into the old arrays in one
+    vectorized pass, so the Python work is proportional to the batch and
+    the graph is touched only by O(nnz) numpy copies.  The old adjacency
+    is only read (it may be a read-only memory map).  If the touched keys
+    come out as they were — an insertion later removed, deletions of
+    absent edges, re-inserting an existing edge unweighted — the caller
+    can skip the rebuild entirely.
     """
-    coo = graph.adjacency.tocoo()
-    edge_weights: Dict[Edge, float] = {
-        (int(u), int(v)): float(w)
-        for u, v, w in zip(coo.row, coo.col, coo.data)
-    }
-    baseline = dict(edge_weights)
-    for u, v, w in batch.added:
+    adj = graph.adjacency
+    n = graph.n_nodes
+    indptr, indices, data = adj.indptr, adj.indices, adj.data
+
+    added = [(int(u), int(v), w) for u, v, w in batch.added]
+    removed = [(int(u), int(v)) for u, v in batch.removed]
+
+    # Where each touched key sits in (or would enter) the old CSR arrays.
+    slot: Dict[Edge, int] = {}
+    before: Dict[Edge, float] = {}
+    for key in [(u, v) for u, v, _ in added] + removed:
+        u, v = key
+        if key in slot or not (0 <= u < n and 0 <= v < n):
+            continue
+        lo, hi = int(indptr[u]), int(indptr[u + 1])
+        pos = lo + int(np.searchsorted(indices[lo:hi], v))
+        slot[key] = pos
+        if pos < hi and indices[pos] == v:
+            before[key] = float(data[pos])
+
+    after = dict(before)
+    for u, v, w in added:
         if w is None:
-            edge_weights.setdefault((u, v), 1.0)
+            after.setdefault((u, v), 1.0)
         else:
-            edge_weights[(u, v)] = w
-    for edge in batch.removed:
-        edge_weights.pop(edge, None)
-    if edge_weights == baseline:
+            after[(u, v)] = float(w)
+    for key in removed:
+        after.pop(key, None)
+    if after == before:
         return None
-    if edge_weights:
-        items = sorted(edge_weights.items())
-        edges = np.asarray([edge for edge, _ in items], dtype=np.int64)
-        weights = np.asarray([w for _, w in items], dtype=np.float64)
-        return Graph.from_edges(edges, n_nodes=graph.n_nodes, weights=weights)
-    return Graph.empty(graph.n_nodes)
+    for u, v in after:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(
+                f"edge ({u}, {v}) is outside the node range 0..{n - 1}"
+            )
+
+    # Drop every old entry of a touched key, then insert the live touched
+    # entries at their sorted positions among the kept ones.
+    dropped = np.sort(np.array([slot[key] for key in before], dtype=np.int64))
+    live = sorted(after)
+    live_rows = np.array([u for u, _ in live], dtype=np.int64)
+    live_slots = np.array([slot[key] for key in live], dtype=np.int64)
+    inserts = live_slots - np.searchsorted(dropped, live_slots)
+    keep = np.ones(indices.size, dtype=bool)
+    keep[dropped] = False
+    new_indices = np.insert(
+        indices[keep], inserts, np.array([v for _, v in live], dtype=indices.dtype)
+    )
+    new_data = np.insert(
+        data[keep], inserts, np.array([after[key] for key in live], dtype=np.float64)
+    )
+    # Entry p lives in row r where indptr[r] <= p < indptr[r + 1].
+    dropped_rows = np.searchsorted(indptr, dropped, side="right") - 1
+    row_delta = (np.bincount(live_rows + 1, minlength=n + 1)
+                 - np.bincount(dropped_rows + 1, minlength=n + 1))
+    new_indptr = indptr + np.cumsum(row_delta)
+    return Graph(sp.csr_matrix((new_data, new_indices, new_indptr), shape=(n, n)))
 
 
 # ----------------------------------------------------------------------

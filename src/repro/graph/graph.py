@@ -24,9 +24,9 @@ class Graph:
     ----------
     adjacency:
         Square sparse (or dense) matrix; entry ``(u, v)`` is the weight of the
-        edge ``u -> v``.  Weights must be non-negative.  The matrix is
-        converted to CSR, duplicate entries are summed, and explicit zeros are
-        removed.
+        edge ``u -> v``.  Weights must be finite and non-negative.  The
+        matrix is converted to CSR, duplicate entries are summed, and explicit
+        zeros are removed.
 
     Notes
     -----
@@ -45,6 +45,8 @@ class Graph:
             )
         adj.sum_duplicates()
         adj.eliminate_zeros()
+        if adj.nnz and not np.isfinite(adj.data).all():
+            raise GraphFormatError("edge weights must be finite")
         if adj.nnz and adj.data.min() < 0:
             raise GraphFormatError("edge weights must be non-negative")
         adj.sort_indices()

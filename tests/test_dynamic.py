@@ -136,6 +136,10 @@ class TestWeighted:
             dynamic.add_edges([(0, 1)], weights=[-2.0])
         with pytest.raises(InvalidParameterError):
             dynamic.add_edges([(0, 1)], weights=[0.0])
+        for weight in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InvalidParameterError):
+                dynamic.add_edges([(0, 5)], weights=[weight])
+        assert dynamic.pending_updates == 0
 
 
 class TestNoOpSkip:

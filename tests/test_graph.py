@@ -56,6 +56,13 @@ class TestConstruction:
         with pytest.raises(GraphFormatError):
             Graph(np.array([[0.0, -1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, weight):
+        with pytest.raises(GraphFormatError):
+            Graph(np.array([[0.0, weight], [0.0, 0.0]]))
+        with pytest.raises(GraphFormatError):
+            Graph.from_edges([(0, 1), (1, 0)], weights=[1.0, weight])
+
     def test_empty(self):
         g = Graph.empty(4)
         assert g.n_nodes == 4

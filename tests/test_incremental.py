@@ -1,7 +1,12 @@
 """Tests for the incremental correction engine (repro.core.incremental)."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import BePI, Graph, generate_rmat
 from repro.core.dynamic import DynamicRWR
@@ -11,7 +16,7 @@ from repro.core.incremental import (
     build_updated_bundle,
     incremental_update,
 )
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import GraphFormatError, InvalidParameterError
 from repro.store import ArtifactStore
 
 
@@ -79,6 +84,128 @@ class TestApplyBatch:
         g = Graph.from_edges([(0, 1)], n_nodes=2)
         out = apply_batch(g, UpdateBatch(removed=((0, 1),)))
         assert out.n_edges == 0
+
+
+def reference_apply_batch(graph, batch):
+    """The dict implementation ``apply_batch`` replaced: the whole graph as
+    an edge -> weight map, the batch replayed on it, the graph rebuilt from
+    the sorted map.  Kept as the oracle for the CSR splice."""
+    coo = graph.adjacency.tocoo()
+    edge_weights = {
+        (int(u), int(v)): float(w)
+        for u, v, w in zip(coo.row, coo.col, coo.data)
+    }
+    baseline = dict(edge_weights)
+    for u, v, w in batch.added:
+        if w is None:
+            edge_weights.setdefault((u, v), 1.0)
+        else:
+            edge_weights[(u, v)] = w
+    for edge in batch.removed:
+        edge_weights.pop(edge, None)
+    if edge_weights == baseline:
+        return None
+    if edge_weights:
+        items = sorted(edge_weights.items())
+        edges = np.asarray([edge for edge, _ in items], dtype=np.int64)
+        weights = np.asarray([w for _, w in items], dtype=np.float64)
+        return Graph.from_edges(edges, n_nodes=graph.n_nodes, weights=weights)
+    return Graph.empty(graph.n_nodes)
+
+
+def _read_only(graph, index_dtype=None):
+    """``graph`` behind read-only CSR buffers, like a store's memory map."""
+    adj = graph.adjacency
+    arrays = [adj.data.copy(), adj.indices.copy(), adj.indptr.copy()]
+    if index_dtype is not None:
+        arrays[1:] = [a.astype(index_dtype) for a in arrays[1:]]
+    for array in arrays:
+        array.setflags(write=False)
+    csr = sp.csr_matrix(adj.shape)
+    csr.data, csr.indices, csr.indptr = arrays
+    return Graph.from_canonical_csr(csr)
+
+
+def _assert_same_csr(got, want):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.adjacency, name), getattr(want.adjacency, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+    assert got.adjacency.shape == want.adjacency.shape
+
+
+#: Weights the property draws: repeats of a few values (so re-setting an
+#: edge to its current weight is a no-op) and zero (dropped); in some
+#: cases also the negative and non-finite values both must reject.
+VALID_WEIGHTS = [None, None, 0.5, 1.0, 2.5, 0.0]
+INVALID_WEIGHTS = [-1.0, math.nan, math.inf]
+
+
+@st.composite
+def graphs_and_batches(draw):
+    """Small graphs (empty, with deadends, int32 or int64 indices) and
+    batches over their existing edges and fresh or out-of-range keys, with
+    repeats, re-inserts, insert-then-remove and remove-everything."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.3, 0.6, 0.9]))
+    dense = (rng.random((n, n)) < density) * rng.choice([0.5, 1.0, 2.5], size=(n, n))
+    dense[rng.random(n) < 0.3] = 0.0  # deadends
+    graph = _read_only(Graph(dense), draw(st.sampled_from([None, np.int64])))
+    existing = [tuple(map(int, e)) for e in graph.edges()]
+    node = st.integers(min_value=-1, max_value=n) if draw(st.booleans()) else (
+        st.integers(min_value=0, max_value=n - 1))
+    key = st.one_of(st.tuples(node, node), *(
+        [st.sampled_from(existing)] if existing else []))
+    weights = VALID_WEIGHTS + (INVALID_WEIGHTS if draw(st.booleans()) else [])
+    added = draw(st.lists(st.tuples(key, st.sampled_from(weights)), max_size=8))
+    removed = draw(st.lists(key, max_size=6))
+    if draw(st.booleans()):  # remove some of what was just added
+        removed += [k for k, _ in added if rng.random() < 0.5]
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        removed += existing + [k for k, _ in added]
+    batch = UpdateBatch(added=tuple((u, v, w) for (u, v), w in added),
+                        removed=tuple(removed))
+    return graph, batch
+
+
+class TestApplyBatchProperty:
+    @given(graphs_and_batches())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_dict_reference(self, case):
+        graph, batch = case
+        try:
+            want = reference_apply_batch(graph, batch)
+        except GraphFormatError:
+            with pytest.raises(GraphFormatError):
+                apply_batch(graph, batch)
+            return
+        got = apply_batch(graph, batch)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            _assert_same_csr(got, want)
+
+    def test_chained_rmat_batches_match_reference(self):
+        graph = generate_rmat(10, 8 * 2**10, seed=5)
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            edges = graph.edges()
+            picks = rng.choice(len(edges), 24, replace=False)
+            batch = UpdateBatch(
+                added=tuple(
+                    (int(edges[i][0]), int(edges[i][1]), float(w))
+                    for i, w in zip(picks[:16], rng.uniform(0.5, 2.5, 16))
+                ) + tuple(
+                    (int(u), int(v), None)
+                    for u, v in rng.integers(0, graph.n_nodes, (8, 2))
+                ),
+                removed=tuple(tuple(map(int, edges[i])) for i in picks[16:]),
+            )
+            got = apply_batch(graph, batch)
+            _assert_same_csr(got, reference_apply_batch(graph, batch))
+            graph = got
 
 
 class TestIncrementalUpdate:
@@ -263,6 +390,46 @@ class TestStoreLineage:
         store = ArtifactStore(tmp_path)
         with pytest.raises(GraphFormatError):
             store.lineage("gen-999999")
+
+
+class TestReadOnlyAdjacency:
+    def test_apply_batch_reads_store_mmap(self, graph, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.publish(BePI(tol=1e-11).preprocess(graph))
+        mapped = store.open_current().graph
+        adj = mapped.adjacency
+        assert not any(a.flags.writeable for a in (adj.data, adj.indices, adj.indptr))
+        before = [a.copy() for a in (adj.data, adj.indices, adj.indptr)]
+        u, v = map(int, graph.edges()[0])
+        batch = UpdateBatch(added=((u, v, 2.5), (1, 200, None)), removed=((u, v),))
+        out = apply_batch(mapped, batch)
+        _assert_same_csr(out, reference_apply_batch(graph, batch))
+        assert mapped.adjacency is adj
+        for got, want in zip((adj.data, adj.indices, adj.indptr), before):
+            assert not got.flags.writeable
+            assert np.array_equal(got, want)
+
+    def test_sync_and_background_publish_same_generation(self, graph, tmp_path):
+        u, v = map(int, graph.edges()[0])
+        x, y = map(int, graph.edges()[1])
+        published = []
+        for name, background in (("sync", False), ("background", True)):
+            store = ArtifactStore(tmp_path / name)
+            DynamicRWR(
+                graph, solver_factory=lambda: BePI(tol=1e-11), artifact_store=store
+            )
+            dyn = DynamicRWR.from_store(store, background=background)
+            dyn.add_edges([(u, v)], weights=[3.0])
+            dyn.add_edges([(1, 200)])
+            dyn.remove_edges([(x, y)])
+            dyn.rebuild()
+            assert dyn.wait_for_rebuild(timeout=180)
+            assert store.current_path().name == "gen-000002"
+            published.append((store.open_current(mmap=False).graph, store.lineage()))
+        (sync_graph, sync_lineage), (bg_graph, bg_lineage) = published
+        _assert_same_csr(sync_graph, bg_graph)
+        assert sync_lineage["batch_digest"] == bg_lineage["batch_digest"]
+        assert sync_lineage["parent"] == bg_lineage["parent"] == "gen-000001"
 
 
 class TestBackgroundRebuild:
