@@ -568,7 +568,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                 "shed_queue_depth": args.shed_depth,
                 "breaker_threshold": args.breaker_threshold,
                 "breaker_reset": args.breaker_reset,
-                "failover_cooldown": args.failover_cooldown,
                 "health_interval": args.health_interval,
                 "hedge_after": hedge_after,
                 "degraded_answerer": answerer,
@@ -1097,10 +1096,6 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="SECONDS",
                       help="seconds before an open breaker allows its "
                            "half-open probe (default: 2.0)")
-    p_gw.add_argument("--failover-cooldown", type=float, default=None,
-                      metavar="SECONDS",
-                      help="seconds a failed backend is deprioritized in "
-                           "failover chains (default: 2.0)")
     p_gw.add_argument("--health-interval", type=float, default=None,
                       metavar="SECONDS",
                       help="seconds between background backend health "

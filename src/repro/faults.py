@@ -2,10 +2,9 @@
 
 Production RWR serving has to survive three broad failure families: worker
 processes dying mid-query (OOM kills), artifact bytes rotting on disk, and
-the iterative solver stagnating (the failure mode BePI's ILU(0)
-preconditioning exists to avoid, cf. Table 5).  Testing the recovery paths
-with *random* chaos makes CI flaky; this module makes every fault an
-explicit, serializable **plan** instead:
+a flaky network between the gateway and its backends.  Testing the
+recovery paths with *random* chaos makes CI flaky; this module makes every
+fault an explicit, serializable **plan** instead:
 
 - :class:`WorkerCrash` — a serving worker calls ``os._exit`` while handling
   its N-th query batch (after computing, before replying), mimicking an
@@ -17,8 +16,6 @@ explicit, serializable **plan** instead:
   or backed-up queue;
 - :class:`ArtifactByteFlip` — one byte of an artifact array file is XOR'd,
   which the manifest-v4 checksums must catch on load;
-- :class:`GMRESStagnation` — the next N GMRES solves return unconverged
-  without iterating, driving the engine's solver fallback chain;
 - :class:`ConnectionDrop` / :class:`SlowLink` / :class:`FrameCorrupt` —
   network faults on a named wire endpoint (a gateway backend, usually):
   the transport raises ``ConnectionResetError`` mid-conversation, sleeps
@@ -31,7 +28,9 @@ and JSON, so it can cross the ``spawn`` boundary into worker processes and
 be checked into CI fixtures.  Faults fire through a process-local injector
 (:func:`install` / :func:`clear` / :func:`active`); when no plan is
 installed every query function returns its "no fault" answer on a single
-attribute read, so the production hot path stays unaffected.
+attribute read, so the production hot path stays unaffected.  The solver
+itself carries no hooks: the fallback-chain tests force GMRES stagnation
+by wrapping the GMRES engines in the test suite.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from __future__ import annotations
 import json
 import threading
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -50,7 +49,6 @@ __all__ = [
     "ConnectionDrop",
     "FaultPlan",
     "FrameCorrupt",
-    "GMRESStagnation",
     "QueueDelay",
     "SlowLink",
     "WireActions",
@@ -60,13 +58,11 @@ __all__ = [
     "active_plan",
     "apply_byte_flips",
     "clear",
-    "consume_gmres_stagnations",
     "crash_for",
     "delay_for",
     "hang_for",
     "install",
     "load_plan",
-    "pending_gmres_stagnations",
     "wire_actions",
 ]
 
@@ -120,19 +116,6 @@ class ArtifactByteFlip:
 
 
 @dataclass(frozen=True)
-class GMRESStagnation:
-    """Force the next ``solves`` GMRES solves to return unconverged.
-
-    Each right-hand side counts as one solve, matching the
-    ``gmres.solves`` telemetry counter; the budget is consumed process-wide
-    in call order, so a chain that retries GMRES with a weaker
-    preconditioner consumes additional budget on the retry.
-    """
-
-    solves: int = 1
-
-
-@dataclass(frozen=True)
 class ConnectionDrop:
     """Drop ``count`` frames on endpoint ``endpoint`` as reset connections.
 
@@ -181,7 +164,6 @@ _SPEC_TYPES = {
     "worker_hangs": WorkerHang,
     "queue_delays": QueueDelay,
     "byte_flips": ArtifactByteFlip,
-    "gmres_stagnations": GMRESStagnation,
     "connection_drops": ConnectionDrop,
     "slow_links": SlowLink,
     "frame_corrupts": FrameCorrupt,
@@ -201,7 +183,6 @@ class FaultPlan:
     worker_hangs: Tuple[WorkerHang, ...] = ()
     queue_delays: Tuple[QueueDelay, ...] = ()
     byte_flips: Tuple[ArtifactByteFlip, ...] = ()
-    gmres_stagnations: Tuple[GMRESStagnation, ...] = ()
     connection_drops: Tuple[ConnectionDrop, ...] = ()
     slow_links: Tuple[SlowLink, ...] = ()
     frame_corrupts: Tuple[FrameCorrupt, ...] = ()
@@ -258,7 +239,6 @@ class FaultPlan:
             worker_hangs=tuple(s for s in self.worker_hangs if s.worker != worker),
             queue_delays=tuple(s for s in self.queue_delays if s.worker != worker),
             byte_flips=self.byte_flips,
-            gmres_stagnations=self.gmres_stagnations,
             connection_drops=self.connection_drops,
             slow_links=self.slow_links,
             frame_corrupts=self.frame_corrupts,
@@ -282,7 +262,6 @@ class _Injector:
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self._stagnation_budget = sum(s.solves for s in plan.gmres_stagnations)
         self._lock = threading.Lock()
         # Network faults: per-endpoint frame-event counters plus one
         # remaining-budget cell per drop/corrupt spec (SlowLink has no
@@ -293,15 +272,6 @@ class _Injector:
         self._has_wire_faults = bool(
             plan.connection_drops or plan.slow_links or plan.frame_corrupts
         )
-
-    def consume_stagnations(self, requested: int) -> int:
-        with self._lock:
-            taken = min(self._stagnation_budget, max(int(requested), 0))
-            self._stagnation_budget -= taken
-            return taken
-
-    def pending_stagnations(self) -> int:
-        return self._stagnation_budget
 
     def wire_event(self, endpoint: str) -> Optional["WireActions"]:
         if not self._has_wire_faults:
@@ -402,20 +372,6 @@ def delay_for(worker: int, batch_index: int) -> float:
         if spec.worker == worker
         and (spec.at_batch is None or spec.at_batch == batch_index)
     )
-
-
-def consume_gmres_stagnations(requested: int = 1) -> int:
-    """Take up to ``requested`` forced stagnations from the budget."""
-    if _ACTIVE is None:
-        return 0
-    return _ACTIVE.consume_stagnations(requested)
-
-
-def pending_gmres_stagnations() -> int:
-    """Forced stagnations still pending (0 without an active plan)."""
-    if _ACTIVE is None:
-        return 0
-    return _ACTIVE.pending_stagnations()
 
 
 @dataclass(frozen=True)

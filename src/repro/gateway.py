@@ -63,9 +63,6 @@ DEFAULT_MAX_PENDING = 1024
 #: Seconds between backend health/queue-depth polls.
 DEFAULT_HEALTH_INTERVAL = 1.0
 
-#: Seconds a backend stays deprioritized after a transport failure.
-DEFAULT_FAILOVER_COOLDOWN = 2.0
-
 #: Seconds the gateway waits for one backend call before failing over.
 DEFAULT_REQUEST_TIMEOUT = 60.0
 
@@ -271,6 +268,11 @@ class CircuitBreaker:
             return False
         self._probing = True
         return True
+
+    @property
+    def healthy(self) -> bool:
+        """Closed with no failure streak: the last verdict was a success."""
+        return self._failures == 0
 
     def record_success(self) -> None:
         self._failures = 0
@@ -627,13 +629,11 @@ class Gateway:
     request_timeout:
         Seconds to wait for one backend call before treating it as failed
         and trying the next replica.
-    failover_cooldown:
-        Seconds a backend that failed a call is deprioritized in failover
-        chains (a successful health poll clears the cooldown early).
     health_interval:
         Seconds between background stats polls of every backend (feeds
-        the health gauges and depth-based shedding).  The monitor starts
-        with :meth:`start` / ``async with``.
+        the circuit breakers, the queue-depth gauges and depth-based
+        shedding).  The monitor starts with :meth:`start` /
+        ``async with``.
     registry:
         Optional :class:`~repro.telemetry.MetricsRegistry`; defaults to a
         private one (exposed as :attr:`registry`).
@@ -668,7 +668,7 @@ class Gateway:
         error, whenever the stale answer cache has no hit.
     answer_cache_size:
         Entries kept in the degraded-answer cache (the last exact answer
-        per ``(mode, seed)``, generation-tagged).  ``0`` disables it.
+        per ``(mode, seed)``).  ``0`` disables it.
     """
 
     def __init__(
@@ -678,7 +678,6 @@ class Gateway:
         max_pending: int = DEFAULT_MAX_PENDING,
         shed_queue_depth: Optional[int] = None,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-        failover_cooldown: float = DEFAULT_FAILOVER_COOLDOWN,
         health_interval: float = DEFAULT_HEALTH_INTERVAL,
         registry: Optional[MetricsRegistry] = None,
         ring_points: int = DEFAULT_RING_POINTS,
@@ -712,7 +711,6 @@ class Gateway:
         self.max_pending = int(max_pending)
         self.shed_queue_depth = shed_queue_depth
         self.request_timeout = float(request_timeout)
-        self.failover_cooldown = float(failover_cooldown)
         self.health_interval = float(health_interval)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else tracing.get_tracer()
@@ -747,9 +745,9 @@ class Gateway:
                         f"hedge_after must be > 0, got {hedge_after}"
                     )
                 self._hedge_fixed = float(hedge_after)
-        # Last exact answer per (mode, seed) + the generation it came
-        # from: the first rung of the degradation ladder.
-        self._answer_cache: "OrderedDict[Tuple, Tuple[Any, Any]]" = OrderedDict()
+        # Last exact answer per (mode, seed): the first rung of the
+        # degradation ladder.
+        self._answer_cache: "OrderedDict[Tuple, Any]" = OrderedDict()
         self._answer_cache_size = int(answer_cache_size)
         # Recent backend-call latencies feeding percentile hedging.
         self._attempt_latencies: deque = deque(maxlen=512)
@@ -760,7 +758,6 @@ class Gateway:
         self._flush_handles: Dict[Tuple, asyncio.TimerHandle] = {}
         self._flush_due: Dict[Tuple, float] = {}
         self._pending_total = 0
-        self._unhealthy_until: Dict[str, float] = {}
         self._depths: Dict[str, float] = {}
         # Backend name -> last full registry snapshot (OP_METRICS poll).
         self._fleet_snapshots: Dict[str, Dict[str, Any]] = {}
@@ -935,7 +932,6 @@ class Gateway:
 
     async def stats(self) -> Dict[str, Any]:
         """Gateway-side serving state (admission, per-backend health)."""
-        now = time.monotonic()
         batches = self._batch_sizes.count
         return {
             "pending": self._pending_total,
@@ -959,7 +955,7 @@ class Gateway:
             },
             "backends": {
                 name: {
-                    "healthy": now >= self._unhealthy_until.get(name, 0.0),
+                    "healthy": self.breakers[name].healthy,
                     "queue_depth": self._depths.get(name),
                     "generation": self._generations.get(name),
                     "breaker": self.breakers[name].state_name,
@@ -991,7 +987,8 @@ class Gateway:
             depths = [
                 depth
                 for name, depth in self._depths.items()
-                if depth is not None and self._is_healthy(name)
+                if depth is not None
+                and self.breakers[name].state != CircuitBreaker.OPEN
             ]
             # Shed only when *every* live backend is over the limit — a
             # single deep replica is a routing problem, not an overload.
@@ -1153,19 +1150,6 @@ class Gateway:
     # ------------------------------------------------------------------
     # Dispatch + failover
     # ------------------------------------------------------------------
-    def _is_healthy(self, name: str) -> bool:
-        return time.monotonic() >= self._unhealthy_until.get(name, 0.0)
-
-    def _mark_unhealthy(self, name: str) -> None:
-        self._unhealthy_until[name] = time.monotonic() + self.failover_cooldown
-        self._health_gauge(name).set(0.0)
-
-    def _health_gauge(self, name: str):
-        return self.registry.gauge(
-            f"{telemetry.GATEWAY_BACKEND_PREFIX}{name}.healthy",
-            help="1 = backend answering, 0 = cooling down after a failure",
-        )
-
     def _record_generation(self, name: str, generation: Any) -> None:
         """Track the generation a backend reports serving.
 
@@ -1187,12 +1171,10 @@ class Gateway:
                 ).set(float(suffix))
 
     def _failover_chain(self, primary: str) -> List[str]:
-        """Replicas to try, primary first; cooling-down backends move to
-        the back of the chain rather than out of it (when everything is
-        marked unhealthy there is nothing better to try)."""
-        chain = [primary] + [n for n in self.ring.names if n != primary]
-        return sorted(chain, key=lambda n: (not self._is_healthy(n),
-                                            chain.index(n)))
+        """Replicas to try: the primary, then the others in ring-name
+        order.  A dead replica stays in the chain; its open breaker skips
+        it without a call."""
+        return [primary] + [n for n in self.ring.names if n != primary]
 
     def _breaker_gauge(self, name: str):
         return self.registry.gauge(
@@ -1314,9 +1296,8 @@ class Gateway:
                     rows = await self._attempt(
                         mode, name, seeds, group, attempts - 1, deadline
                     )
-                    winner = name
                 else:
-                    rows, winner = await self._attempt_hedged(
+                    rows = await self._attempt_hedged(
                         mode, name, hedge_name, hedge_delay,
                         seeds, group, deadline,
                     )
@@ -1331,7 +1312,7 @@ class Gateway:
             except Exception as exc:  # QueryError, Overloaded, bugs
                 self._resolve(group, error=exc)
                 return
-            self._resolve(group, rows=rows, mode=mode, backend=winner)
+            self._resolve(group, rows=rows, mode=mode)
             return
         await self._resolve_degraded(
             mode,
@@ -1393,7 +1374,6 @@ class Gateway:
                 )
         except (BackendError, TimeoutError) as exc:
             self._backend_errors.inc()
-            self._mark_unhealthy(name)
             self._breaker_failure(name)
             self._record_backend_spans(
                 spans, name, attempt, started, start, error=exc
@@ -1407,7 +1387,6 @@ class Gateway:
                 spans, name, attempt, started, start, error=exc
             )
             raise
-        self._health_gauge(name).set(1.0)
         self._breaker_success(name)
         self._attempt_latencies.append(max(0.0, time.perf_counter() - start))
         self._record_backend_spans(spans, name, attempt, started, start)
@@ -1422,7 +1401,7 @@ class Gateway:
         seeds: List[int],
         group: List[Tuple[int, asyncio.Future, Any, Any]],
         deadline: Optional[float],
-    ) -> Tuple[List[Any], str]:
+    ) -> List[Any]:
         """Race the primary against a delayed duplicate on ``hedge_name``.
 
         The hedge launches only if the primary is still unanswered after
@@ -1437,15 +1416,14 @@ class Gateway:
         )
         done, _ = await asyncio.wait({primary}, timeout=hedge_delay)
         if done:
-            return await primary, name
+            return await primary
         if not self.retry_budget.try_spend():
             self._retry_exhausted.inc()
-            return await primary, name
+            return await primary
         self._hedge_sent.inc()
         hedge = asyncio.ensure_future(
             self._attempt(mode, hedge_name, seeds, group, 1, deadline)
         )
-        owners = {primary: name, hedge: hedge_name}
         pending = {primary, hedge}
         primary_error: Optional[BaseException] = None
         other_error: Optional[BaseException] = None
@@ -1462,7 +1440,7 @@ class Gateway:
                         await asyncio.wait(pending)
                     if task is hedge:
                         self._hedge_wins.inc()
-                    return task.result(), owners[task]
+                    return task.result()
                 if task is primary:
                     primary_error = error
                 else:
@@ -1505,16 +1483,14 @@ class Gateway:
         rows: Optional[List[Any]] = None,
         error: Optional[BaseException] = None,
         mode: Optional[Tuple] = None,
-        backend: Optional[str] = None,
     ) -> None:
-        generation = self._generations.get(backend) if backend else None
         for index, (seed, future, _, _) in enumerate(group):
             self._pending_total -= 1
             if rows is not None and mode is not None:
                 # Cache even when the future is already done (watchdog
                 # served a degraded answer): the exact late answer is the
                 # freshest thing the next degraded hit can get.
-                self._cache_answer(mode, seed, rows[index], generation)
+                self._cache_answer(mode, seed, rows[index])
             if future.done():  # caller gave up, or watchdog answered
                 continue
             if error is not None:
@@ -1525,13 +1501,15 @@ class Gateway:
     # ------------------------------------------------------------------
     # Graceful degradation
     # ------------------------------------------------------------------
-    def _cache_answer(
-        self, mode: Tuple, seed: int, value: Any, generation: Any
-    ) -> None:
+    def _cache_answer(self, mode: Tuple, seed: int, value: Any) -> None:
         if self._answer_cache_size <= 0:
             return
+        if mode[0] == "dense":
+            # A dense row is a view into its batch's (k, n) score array;
+            # an owned copy keeps one cached row from pinning the batch.
+            value = np.array(value)
         key = (mode, int(seed))
-        self._answer_cache[key] = (value, generation)
+        self._answer_cache[key] = value
         self._answer_cache.move_to_end(key)
         while len(self._answer_cache) > self._answer_cache_size:
             self._answer_cache.popitem(last=False)
@@ -1549,11 +1527,10 @@ class Gateway:
         cached = self._answer_cache.get(key)
         if cached is not None:
             self._answer_cache.move_to_end(key)
-            value, _generation = cached
             # A cache hit is an *exact* answer for a possibly stale
             # generation: its error bound is zero by construction.
             return GatewayResult(
-                value, degraded=True, error_bound=0.0, source="cache"
+                cached, degraded=True, error_bound=0.0, source="cache"
             )
         if self.degraded_answerer is None:
             return None
@@ -1654,7 +1631,10 @@ class Gateway:
     # Health monitor
     # ------------------------------------------------------------------
     async def _monitor(self) -> None:
-        while True:
+        # Checks the flag, not only cancellation: on Python 3.11 a
+        # wait_for whose poll finishes as close() cancels it swallows the
+        # cancel, and the loop would outlive close() forever.
+        while not self._closed:
             for name, backend in list(self.backends.items()):
                 depth_gauge = self.registry.gauge(
                     f"{telemetry.GATEWAY_BACKEND_PREFIX}{name}.queue_depth",
@@ -1664,18 +1644,22 @@ class Gateway:
                     stats = await asyncio.wait_for(
                         backend.stats(), min(self.health_interval, 5.0)
                     )
-                except (BackendError, QueryError, Overloaded, TimeoutError):
+                except (BackendError, TimeoutError):
+                    # A failed poll is a transport failure: it feeds the
+                    # breaker exactly like a failed query.
                     self._depths.pop(name, None)
-                    self._health_gauge(name).set(0.0)
+                    self._breaker_failure(name)
+                    continue
+                except (QueryError, Overloaded):
+                    self._depths.pop(name, None)
                     continue
                 depth = float(stats.get("queue_depth") or 0)
                 self._depths[name] = depth
                 depth_gauge.set(depth)
                 self._record_generation(name, stats.get("generation"))
-                # A live stats reply is proof of recovery: clear any
-                # failure cooldown instead of waiting it out.
-                self._unhealthy_until.pop(name, None)
-                self._health_gauge(name).set(1.0)
+                # A live stats reply is proof of recovery: close the
+                # breaker instead of waiting for a half-open probe.
+                self._breaker_success(name)
                 # Full registry snapshot for fleet aggregation — best
                 # effort; a failed poll keeps the previous snapshot.
                 poll = getattr(backend, "metrics_snapshot", None)

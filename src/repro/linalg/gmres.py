@@ -27,7 +27,7 @@ from typing import Callable, List, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro import faults, telemetry, tracing
+from repro import telemetry, tracing
 from repro.exceptions import ConvergenceError, InvalidParameterError
 
 MatVec = Callable[[np.ndarray], np.ndarray]
@@ -445,20 +445,10 @@ def gmres(
     if workspace is None:
         workspace = GMRESWorkspace()
 
-    if faults.consume_gmres_stagnations(1):
-        # Deterministic fault injection: this solve stagnates without
-        # iterating, exercising the caller's fallback/recovery path.
-        result = GMRESResult(
-            x=np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64),
-            converged=False,
-            n_iterations=0,
-            residual_norms=[1.0],
-        )
-    else:
-        result = _run_gmres(
-            matvec, precondition, b, tol, max_iterations, restart, x0, callback,
-            workspace, deadline,
-        )
+    result = _run_gmres(
+        matvec, precondition, b, tol, max_iterations, restart, x0, callback,
+        workspace, deadline,
+    )
     _record_solves([result])
     if raise_on_stagnation and not result.converged:
         raise ConvergenceError(
@@ -810,11 +800,6 @@ def gmres_multi(
         )
     else:
         use_block = mode == "block"
-    if faults.pending_gmres_stagnations() > 0:
-        # Forced-stagnation faults consume their budget one right-hand side
-        # at a time; the sequential path keeps that consumption order (and
-        # therefore the test outcome) deterministic.
-        use_block = False
     if use_block:
         if max_iterations is None:
             max_iterations = max(n, 1)

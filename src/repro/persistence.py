@@ -84,7 +84,7 @@ _SUPPORTED_ARTIFACT_VERSIONS = (3, 4)
 
 #: Versions ``load_solver`` accepts for ``.npz`` archives.  v1 archives
 #: additionally contain the (unused) ``H11`` block; it is ignored on load.
-_SUPPORTED_VERSIONS = (1, 2)
+_NPZ_FORMAT_VERSIONS = (1, 2)
 
 #: Blocks the query phase (Algorithm 4) actually reads; ``H11`` is covered
 #: by its inverted LU factors and is deliberately not persisted.
@@ -226,7 +226,7 @@ def _load_npz_bundle(path: Path) -> SolverArtifacts:
             meta = json.loads(bytes(archive["meta_json"]).decode())
         except KeyError as exc:
             raise GraphFormatError(f"{path}: not a saved BePI solver") from exc
-        if meta.get("format_version") not in _SUPPORTED_VERSIONS:
+        if meta.get("format_version") not in _NPZ_FORMAT_VERSIONS:
             raise GraphFormatError(
                 f"{path}: unsupported format version {meta.get('format_version')}"
             )

@@ -319,8 +319,8 @@ def _worker_main(worker_id, path, mmap, task_queue, result_queue, fault_plan=Non
 
     ``fault_plan`` is an optional :class:`repro.faults.FaultPlan` as a dict
     (dataclasses do not cross the ``spawn`` boundary cheaply); when present
-    the worker installs it and honours its crash/hang/delay/stagnation
-    directives, which is how the chaos tests produce reproducible failures.
+    the worker installs it and honours its crash/hang/delay directives,
+    which is how the chaos tests produce reproducible failures.
     """
     if fault_plan:
         faults.install(FaultPlan.from_dict(fault_plan))

@@ -103,8 +103,8 @@ WORKER_REROUTES = "rwr.serve.worker_reroutes"
 
 # Async gateway front door (repro.gateway): end-to-end request latency,
 # seeds per coalesced backend solve, admission-control sheds, replica
-# failovers, and per-backend health/queue-depth gauges
-# (``rwr.gateway.backend.<name>.{healthy,queue_depth}``).
+# failovers, and per-backend breaker/queue-depth gauges
+# (``rwr.gateway.backend.<name>.{breaker_state,queue_depth}``).
 GATEWAY_REQUESTS = "rwr.gateway.requests"
 GATEWAY_REQUEST_SECONDS = "rwr.gateway.request.seconds"
 GATEWAY_COALESCE_BATCH = "rwr.gateway.coalesce.batch_size"

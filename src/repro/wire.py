@@ -11,7 +11,7 @@ Frame layout
 Every message (request or reply) is one *frame*::
 
     u32  length      little-endian byte count of the payload that follows
-    u8   version     protocol version (currently 3; v1/v2 frames still parse)
+    u8   version     protocol version (3; any other value is rejected)
     u8   opcode      message type
     ...  body        opcode-specific, fixed little-endian layout
 
@@ -36,8 +36,8 @@ Requests
     aggregation feed (gateway merges per-backend snapshots; ``repro
     top`` renders them).
 
-Trace context (protocol v2)
----------------------------
+Trace context
+-------------
 ``OP_QUERY`` and ``OP_TOPK`` bodies may end with an optional trace
 trailer::
 
@@ -46,14 +46,14 @@ trailer::
 
 One context per *origin* request riding in the frame (a gateway batch
 coalesced from several sampled requests carries several).  The trailer
-is optional in both directions — a v1 frame has no trailer, and a v2
-frame with ``n_ctx == 0`` is untraced.  Symmetrically, ``REPLY_DENSE``
-and ``REPLY_TOPK`` may end with ``u32 blob_len`` + UTF-8 JSON list of
-finished span records, carrying the server-side span tree back to the
-caller so the gateway can assemble one end-to-end trace.
+is optional: a body that ends before it, or ``n_ctx == 0``, is
+untraced.  Symmetrically, ``REPLY_DENSE`` and ``REPLY_TOPK`` may end with
+``u32 blob_len`` + UTF-8 JSON list of finished span records, carrying the
+server-side span tree back to the caller so the gateway can assemble one
+end-to-end trace.
 
-Deadline budget (protocol v3)
------------------------------
+Deadline budget
+---------------
 After the trace trailer, ``OP_QUERY`` and ``OP_TOPK`` bodies may carry a
 deadline trailer::
 
@@ -61,16 +61,15 @@ deadline trailer::
 
 The budget is *relative* (remaining time, not a wall-clock instant) so
 it survives clock skew between hosts; each hop re-computes the remainder
-at send time.  Absent trailer (v1/v2 frames, or a v3 frame whose body
-ends at the trace trailer) means no deadline.  Symmetrically,
-``REPLY_DENSE`` and ``REPLY_TOPK`` may end, after the trace-record
-trailer, with a degraded-reply trailer::
+at send time.  An absent trailer (the body ends at the trace trailer)
+means no deadline.  Symmetrically, ``REPLY_DENSE`` and ``REPLY_TOPK`` may
+end, after the trace-record trailer, with a degraded-reply trailer::
 
     u8   degraded      1 when the answer is approximate / stale
     f8   error_bound   per-score bound the degraded answer satisfies
 
 The trailer is only written for degraded replies, so exact answers cost
-no extra bytes and v2 readers never see it.
+no extra bytes.
 
 Replies
 -------
@@ -92,6 +91,10 @@ Replies
     server *shed* the request instead of queueing it unboundedly.
     Retrying after ``retry_after`` seconds is expected to succeed.
 
+Every peer ships from this repository, so there is one protocol
+version and one transport: :func:`write_message` / :func:`read_message`
+over asyncio streams.
+
 Integers and floats are little-endian on the wire (the native layout on
 every deployment target, so encoding is zero-copy); the explicit dtypes
 keep a big-endian host correct, just slower.
@@ -101,7 +104,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import socket
 import struct
 import time
 from dataclasses import dataclass, field
@@ -112,11 +114,6 @@ import numpy as np
 from . import faults
 
 PROTOCOL_VERSION = 3
-
-#: Versions :func:`decode_message` accepts.  v1 frames carry no trace
-#: trailer, v2 frames no deadline/degraded trailer; everything else is
-#: identical, so old clients keep working.
-SUPPORTED_VERSIONS = (1, 2, 3)
 
 #: Upper bound on a single frame; a corrupt length prefix must not make a
 #: reader allocate gigabytes.  1 GiB fits a ~16k-seed dense reply at
@@ -348,10 +345,10 @@ def decode_message(payload: bytes) -> Union[Request, Reply]:
     if len(payload) < _HEADER.size:
         raise ProtocolError(f"frame too short ({len(payload)} bytes)")
     version, opcode = _HEADER.unpack_from(payload)
-    if version not in SUPPORTED_VERSIONS:
+    if version != PROTOCOL_VERSION:
         raise ProtocolError(
             f"unsupported protocol version {version} "
-            f"(supported: {SUPPORTED_VERSIONS})"
+            f"(expected {PROTOCOL_VERSION})"
         )
     body = payload[_HEADER.size:]
     try:
@@ -359,19 +356,15 @@ def decode_message(payload: bytes) -> Union[Request, Reply]:
             (n,) = _U32.unpack_from(body)
             seeds = _read_array(body, _U32.size, n, WIRE_SEED_DTYPE)
             offset = _U32.size + n * WIRE_SEED_DTYPE.itemsize
-            trace = ()
-            if version >= 2:
-                trace, offset = _decode_trace(body, offset)
-            deadline = _decode_deadline(body, offset) if version >= 3 else None
+            trace, offset = _decode_trace(body, offset)
+            deadline = _decode_deadline(body, offset)
             return QueryRequest(seeds=seeds, trace=trace, deadline_ms=deadline)
         if opcode == OP_TOPK:
             n, k, exclude = _TOPK_HEAD.unpack_from(body)
             seeds = _read_array(body, _TOPK_HEAD.size, n, WIRE_SEED_DTYPE)
             offset = _TOPK_HEAD.size + n * WIRE_SEED_DTYPE.itemsize
-            trace = ()
-            if version >= 2:
-                trace, offset = _decode_trace(body, offset)
-            deadline = _decode_deadline(body, offset) if version >= 3 else None
+            trace, offset = _decode_trace(body, offset)
+            deadline = _decode_deadline(body, offset)
             return TopKRequest(
                 seeds=seeds, k=int(k), exclude_seed=bool(exclude),
                 trace=trace, deadline_ms=deadline,
@@ -387,12 +380,8 @@ def decode_message(payload: bytes) -> Union[Request, Reply]:
                 body, _U32.size + _U64.size, rows * cols, WIRE_SCORE_DTYPE
             )
             offset = _U32.size + _U64.size + rows * cols * WIRE_SCORE_DTYPE.itemsize
-            records = ()
-            if version >= 2:
-                records, offset = _decode_trace_records(body, offset)
-            degraded, bound = (
-                _decode_degraded(body, offset) if version >= 3 else (False, 0.0)
-            )
+            records, offset = _decode_trace_records(body, offset)
+            degraded, bound = _decode_degraded(body, offset)
             return DenseReply(
                 scores=flat.reshape(rows, cols), trace_records=records,
                 degraded=degraded, error_bound=bound,
@@ -407,12 +396,8 @@ def decode_message(payload: bytes) -> Union[Request, Reply]:
                 packed = _read_array(body, offset, n_pairs, WIRE_PAIR_DTYPE)
                 offset += n_pairs * WIRE_PAIR_DTYPE.itemsize
                 pairs.append(packed)
-            records = ()
-            if version >= 2:
-                records, offset = _decode_trace_records(body, offset)
-            degraded, bound = (
-                _decode_degraded(body, offset) if version >= 3 else (False, 0.0)
-            )
+            records, offset = _decode_trace_records(body, offset)
+            degraded, bound = _decode_degraded(body, offset)
             return TopKReply(
                 pairs=pairs, trace_records=records,
                 degraded=degraded, error_bound=bound,
@@ -520,7 +505,7 @@ def _read_array(body: bytes, offset: int, count: int, dtype: np.dtype) -> np.nda
 
 
 # ----------------------------------------------------------------------
-# Frame transport — asyncio streams and blocking sockets
+# Frame transport — asyncio streams
 # ----------------------------------------------------------------------
 def pack_frame(payload: bytes) -> bytes:
     """Prefix a payload with its little-endian u32 length."""
@@ -612,88 +597,3 @@ async def read_message(
     except asyncio.IncompleteReadError as exc:
         raise ProtocolError("connection closed mid-frame") from exc
     return decode_message(payload)
-
-
-def send_message(
-    sock: socket.socket,
-    message: Union[Request, Reply],
-    *,
-    endpoint: Optional[str] = None,
-) -> None:
-    """Blocking-socket counterpart of :func:`write_message`."""
-    actions = faults.wire_actions(endpoint) if endpoint is not None else None
-    payload = encode_message(message)
-    if actions is not None:
-        if actions.delay:
-            time.sleep(actions.delay)
-        if actions.drop:
-            raise ConnectionResetError(
-                f"fault injection: connection to {endpoint!r} dropped"
-            )
-        if actions.corrupt:
-            payload = _corrupt_payload(payload)
-    sock.sendall(pack_frame(payload))
-
-
-def recv_message(
-    sock: socket.socket,
-    *,
-    timeout: Optional[float] = None,
-    endpoint: Optional[str] = None,
-) -> Optional[Union[Request, Reply]]:
-    """Blocking-socket counterpart of :func:`read_message`.
-
-    ``timeout`` bounds every partial read of the frame (see
-    :func:`read_message`); expiry raises :class:`ProtocolError`.
-    """
-    actions = faults.wire_actions(endpoint) if endpoint is not None else None
-    if actions is not None:
-        if actions.delay:
-            time.sleep(actions.delay)
-        if actions.drop:
-            raise ConnectionResetError(
-                f"fault injection: connection to {endpoint!r} dropped"
-            )
-    deadline = None if timeout is None else time.monotonic() + timeout
-    prefix = _recv_exactly(sock, _LEN.size, deadline, "waiting for a frame")
-    if prefix is None:
-        return None
-    (length,) = _LEN.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame length {length} exceeds MAX_FRAME_BYTES")
-    payload = _recv_exactly(sock, length, deadline, "mid-frame")
-    if payload is None:
-        raise ProtocolError("connection closed mid-frame")
-    return decode_message(payload)
-
-
-def _recv_exactly(
-    sock: socket.socket,
-    count: int,
-    deadline: Optional[float] = None,
-    what: str = "mid-frame",
-) -> Optional[bytes]:
-    chunks: List[bytes] = []
-    remaining = count
-    original_timeout = sock.gettimeout() if deadline is not None else None
-    try:
-        while remaining:
-            if deadline is not None:
-                budget = deadline - time.monotonic()
-                if budget <= 0:
-                    raise ProtocolError(f"read timed out {what}")
-                sock.settimeout(budget)
-            try:
-                chunk = sock.recv(remaining)
-            except socket.timeout as exc:
-                raise ProtocolError(f"read timed out {what}") from exc
-            if not chunk:
-                if remaining == count:
-                    return None  # clean close between frames
-                raise ProtocolError("connection closed mid-frame")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-    finally:
-        if deadline is not None:
-            sock.settimeout(original_timeout)
-    return b"".join(chunks)

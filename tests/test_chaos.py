@@ -79,7 +79,6 @@ class TestChaosDrill:
                     [stable, chaotic],
                     coalesce_window=WINDOW,
                     health_interval=0,
-                    failover_cooldown=0.05,
                     breaker_threshold=2,
                     breaker_reset=0.15,
                 )
@@ -169,7 +168,6 @@ class TestChaosDrill:
                     [backend],
                     coalesce_window=0.005,
                     health_interval=0,
-                    failover_cooldown=0.05,
                     breaker_threshold=100,  # keep retrying the real link
                     degraded_answerer=answerer,
                     answer_cache_size=0,  # force the Monte-Carlo rung
@@ -255,7 +253,6 @@ class TestChaosDrill:
                     [good, bad],
                     coalesce_window=0.0,
                     health_interval=0,
-                    failover_cooldown=0.05,
                 )
                 async with gateway:
                     seed = next(

@@ -1,13 +1,13 @@
 """Tests for the solver fallback chain (GMRES → Jacobi → BiCGSTAB → power)."""
 
+import importlib
 import warnings
 
 import numpy as np
 import pytest
 
-from repro import BePI, faults
+from repro import BePI
 from repro.exceptions import ConvergenceWarning
-from repro.faults import FaultPlan, GMRESStagnation
 from repro.telemetry import (
     FALLBACK_RUNG_PREFIX,
     FALLBACK_TOTAL,
@@ -15,9 +15,57 @@ from repro.telemetry import (
 
 from .conftest import exact_rwr
 
+gmres_module = importlib.import_module("repro.linalg.gmres")
 
-def stagnations(n: int) -> FaultPlan:
-    return FaultPlan(gmres_stagnations=(GMRESStagnation(solves=n),))
+
+def _stagnated(n: int):
+    """What a stagnated right-hand side reports: no progress at all."""
+    return gmres_module.GMRESResult(
+        x=np.zeros(n), converged=False, n_iterations=0, residual_norms=[1.0]
+    )
+
+
+@pytest.fixture
+def stagnate(monkeypatch):
+    """``stagnate(n)`` makes the next ``n`` GMRES right-hand sides stagnate.
+
+    Both GMRES engines are wrapped; right-hand sides are counted in call
+    order (the first columns of a block first), so a fallback rung that
+    retries GMRES spends more of the budget.
+    """
+    budget = [0]
+    run_single = gmres_module._run_gmres
+    run_block = gmres_module._run_gmres_block
+
+    def take(requested: int) -> int:
+        taken = min(budget[0], requested)
+        budget[0] -= taken
+        return taken
+
+    def single(matvec, precondition, b, *args):
+        if take(1):
+            return _stagnated(b.shape[0])
+        return run_single(matvec, precondition, b, *args)
+
+    def block(matvec, precondition, b, *args):
+        batch = run_block(matvec, precondition, b, *args)
+        hit = take(b.shape[1])
+        if not hit:
+            return batch
+        x = np.array(batch.x)
+        x[:, :hit] = 0.0
+        columns = [_stagnated(b.shape[0]) for _ in range(hit)]
+        return gmres_module.GMRESBatchResult(
+            x=x, columns=columns + batch.columns[hit:]
+        )
+
+    monkeypatch.setattr(gmres_module, "_run_gmres", single)
+    monkeypatch.setattr(gmres_module, "_run_gmres_block", block)
+
+    def arm(n: int) -> None:
+        budget[0] = n
+
+    return arm
 
 
 def fallback_counters(solver) -> dict:
@@ -43,12 +91,12 @@ def solver(small_graph):
 
 class TestFallbackChain:
     def test_forced_stagnation_still_answers_within_tolerance(
-        self, solver, small_graph
+        self, solver, small_graph, stagnate
     ):
         baseline = solver.query(3)
         before = fallback_counters(solver)
-        with faults.active(stagnations(1)):
-            recovered = solver.query(3)
+        stagnate(1)
+        recovered = solver.query(3)
         assert np.allclose(recovered, exact_rwr(small_graph, 0.05, 3), atol=1e-8)
         assert np.allclose(recovered, baseline, atol=1e-8)
         delta = counter_delta(before, fallback_counters(solver))
@@ -57,47 +105,53 @@ class TestFallbackChain:
         assert solver.stats["unconverged_queries"] == 0
 
     def test_chain_degrades_to_bicgstab_when_jacobi_rung_also_stagnates(
-        self, solver, small_graph
+        self, solver, small_graph, stagnate
     ):
         # Budget 2: the primary GMRES(ILU) solve and the GMRES(Jacobi) rung
         # both stagnate; BiCGSTAB is the first rung that can answer.
         before = fallback_counters(solver)
-        with faults.active(stagnations(2)):
-            recovered = solver.query(5)
+        stagnate(2)
+        recovered = solver.query(5)
         assert np.allclose(recovered, exact_rwr(small_graph, 0.05, 5), atol=1e-8)
         delta = counter_delta(before, fallback_counters(solver))
         assert delta[FALLBACK_RUNG_PREFIX + "bicgstab"] == 1.0
         assert FALLBACK_RUNG_PREFIX + "gmres_jacobi" not in delta
         assert solver.stats["unconverged_queries"] == 0
 
-    def test_batched_queries_recover_per_column(self, solver, small_graph):
-        with faults.active(stagnations(2)):
-            scores = solver.query_many([0, 1, 2])
+    def test_batched_queries_recover_per_column(
+        self, solver, small_graph, stagnate
+    ):
+        before = fallback_counters(solver)
+        stagnate(2)
+        scores = solver.query_many([0, 1, 2])
         for seed, row in zip([0, 1, 2], scores):
             assert np.allclose(row, exact_rwr(small_graph, 0.05, seed), atol=1e-8)
+        # Two columns stagnated and the Jacobi rung recovered both.
+        delta = counter_delta(before, fallback_counters(solver))
+        assert delta[FALLBACK_RUNG_PREFIX + "gmres_jacobi"] == 2.0
         assert solver.stats["unconverged_queries"] == 0
 
-    def test_fallback_residual_histogram_recorded(self, solver):
-        with faults.active(stagnations(1)):
-            solver.query(1)
+    def test_fallback_residual_histogram_recorded(self, solver, stagnate):
+        stagnate(1)
+        solver.query(1)
         histograms = solver.telemetry.snapshot()["histograms"]
         assert "rwr.queries.fallback.residual" in histograms
 
-    def test_fallback_counters_exported_to_prometheus(self, solver):
-        with faults.active(stagnations(1)):
-            solver.query(2)
+    def test_fallback_counters_exported_to_prometheus(self, solver, stagnate):
+        stagnate(1)
+        solver.query(2)
         text = solver.telemetry.to_prometheus()
         assert "rwr_queries_fallback" in text
         assert "rwr_queries_fallback_gmres_jacobi" in text
 
-    def test_disabled_chain_surfaces_the_stagnation(self, small_graph):
+    def test_disabled_chain_surfaces_the_stagnation(self, small_graph, stagnate):
         solver = BePI(tol=1e-10, hub_ratio=0.3, fallback_chain=False).preprocess(
             small_graph
         )
-        with faults.active(stagnations(1)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                solver.query(0)
+        stagnate(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            solver.query(0)
         assert solver.stats["unconverged_queries"] >= 1
         assert fallback_counters(solver) == {}
 

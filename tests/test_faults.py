@@ -1,6 +1,5 @@
 """Tests for the deterministic fault-injection plans (:mod:`repro.faults`)."""
 
-import numpy as np
 import pytest
 
 from repro import faults
@@ -8,12 +7,10 @@ from repro.exceptions import InvalidParameterError
 from repro.faults import (
     ArtifactByteFlip,
     FaultPlan,
-    GMRESStagnation,
     QueueDelay,
     WorkerCrash,
     WorkerHang,
 )
-from repro.linalg.gmres import gmres
 
 
 @pytest.fixture(autouse=True)
@@ -30,7 +27,6 @@ def full_plan() -> FaultPlan:
         worker_hangs=(WorkerHang(worker=1),),
         queue_delays=(QueueDelay(worker=0, seconds=0.5, at_batch=None),),
         byte_flips=(ArtifactByteFlip(array="S.data", offset=-1),),
-        gmres_stagnations=(GMRESStagnation(solves=3),),
     )
 
 
@@ -49,8 +45,10 @@ class TestFaultPlan:
         assert not full_plan().empty
 
     def test_from_dict_rejects_unknown_sections(self):
-        with pytest.raises(InvalidParameterError, match="unknown fault plan"):
-            FaultPlan.from_dict({"worker_crahses": []})
+        # A typo, and the section of the removed GMRES stagnation fault.
+        for section in ("worker_crahses", "gmres_stagnations"):
+            with pytest.raises(InvalidParameterError, match="unknown fault plan"):
+                FaultPlan.from_dict({section: []})
 
     def test_from_dict_rejects_bad_entries(self):
         with pytest.raises(InvalidParameterError, match="worker_crashes"):
@@ -63,7 +61,6 @@ class TestFaultPlan:
         assert narrowed.worker_hangs == (WorkerHang(worker=1),)
         # Process-agnostic faults survive the narrowing.
         assert narrowed.byte_flips == full_plan().byte_flips
-        assert narrowed.gmres_stagnations == full_plan().gmres_stagnations
 
     def test_load_plan(self, tmp_path):
         path = tmp_path / "plan.json"
@@ -77,8 +74,6 @@ class TestInjector:
         assert faults.crash_for(0, 0) is None
         assert not faults.hang_for(0)
         assert faults.delay_for(0, 0) == 0.0
-        assert faults.consume_gmres_stagnations() == 0
-        assert faults.pending_gmres_stagnations() == 0
 
     def test_install_and_clear(self):
         plan = full_plan()
@@ -108,14 +103,6 @@ class TestInjector:
             assert faults.delay_for(0, 0) == 0.5
             assert faults.delay_for(0, 7) == 0.5
             assert faults.delay_for(1, 0) == 0.0
-
-    def test_stagnation_budget_counts_down(self):
-        with faults.active(FaultPlan(gmres_stagnations=(GMRESStagnation(2),))):
-            assert faults.pending_gmres_stagnations() == 2
-            assert faults.consume_gmres_stagnations(1) == 1
-            assert faults.consume_gmres_stagnations(5) == 1  # only 1 left
-            assert faults.consume_gmres_stagnations(1) == 0
-            assert faults.pending_gmres_stagnations() == 0
 
 
 class TestByteFlips:
@@ -155,19 +142,6 @@ class TestByteFlips:
         with faults.active(FaultPlan(byte_flips=(ArtifactByteFlip("S.data", 0),))):
             assert len(faults.apply_byte_flips(tmp_path)) == 1
         assert faults.apply_byte_flips(tmp_path) == []  # no plan, no flips
-
-
-class TestGMRESStagnationHook:
-    def test_forced_stagnation_returns_unconverged(self, dd_matrix):
-        b = np.ones(dd_matrix.shape[0])
-        with faults.active(FaultPlan(gmres_stagnations=(GMRESStagnation(1),))):
-            forced = gmres(dd_matrix, b, tol=1e-10)
-            assert not forced.converged
-            assert forced.n_iterations == 0
-            # Budget spent: the very next solve runs normally.
-            retry = gmres(dd_matrix, b, tol=1e-10)
-        assert retry.converged
-        np.testing.assert_allclose(dd_matrix @ retry.x, b, atol=1e-8)
 
 
 class TestNetworkFaultSpecs:

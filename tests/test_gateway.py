@@ -364,22 +364,107 @@ class TestShardingAndFailover:
 
         async def scenario():
             async with Gateway(
-                [broken, healthy], coalesce_window=0.0, health_interval=0
+                [broken, healthy],
+                coalesce_window=0.0,
+                health_interval=0,
+                breaker_threshold=2,
+                breaker_reset=0.05,
             ) as gateway:
-                # A seed whose shard primary is the broken backend: the
-                # failed dispatch marks it unhealthy.
                 seed = next(
                     s for s in range(100) if gateway.ring.route(s) == "broken"
                 )
-                await gateway.query(seed)
+                # Two failed dispatches trip the broken backend's breaker.
+                for _ in range(2):
+                    assert (await gateway.query(seed))[0] == float(seed)
+                tripped = await gateway.stats()
+                # Open breaker: the next dispatch skips the broken backend
+                # without calling it, yet it stays in the chain.
+                assert (await gateway.query(seed))[0] == float(seed)
+                skipped = await gateway.stats()
                 chain = gateway._failover_chain("broken")
-                return chain
+                # Once the reset timeout passes, a half-open probe brings
+                # the recovered backend back.
+                broken.fail = False
+                await asyncio.sleep(0.06)
+                assert (await gateway.query(seed))[0] == float(seed)
+                return seed, tripped, skipped, chain, await gateway.stats()
 
-        chain = asyncio.run(scenario())
-        # Cooling-down backends move to the back of the chain, they do not
-        # vanish: when everything is unhealthy there is nothing better.
-        assert set(chain) == {"broken", "healthy"}
-        assert chain[-1] == "broken"
+        seed, tripped, skipped, chain, recovered = asyncio.run(scenario())
+        assert tripped["backend_errors"] == 2
+        assert tripped["backends"]["broken"]["breaker"] == "open"
+        assert skipped["backend_errors"] == 2, "an open breaker makes no call"
+        assert chain == ["broken", "healthy"]
+        assert recovered["backends"]["broken"]["breaker"] == "closed"
+        assert recovered["backends"]["broken"]["healthy"] is True
+        assert broken.calls == [[seed]]
+
+    def test_close_stops_a_monitor_whose_polls_fail(self):
+        dead = FakeBackend(name="dead", fail=True)
+
+        async def stats():
+            raise BackendError("backend dead: stats poll refused")
+
+        dead.stats = stats
+
+        async def cycles():
+            # Closing while a poll completes must still end the monitor;
+            # each cycle is a fresh chance to land in that window.
+            for _ in range(20):
+                gateway = Gateway([dead], health_interval=0.001)
+                await gateway.start()
+                await asyncio.sleep(0.02)
+                closing = asyncio.ensure_future(gateway.close())
+                done, _ = await asyncio.wait({closing}, timeout=2.0)
+                if not done:
+                    return False
+            return True
+
+        # A private loop: a monitor that outlived close() would make
+        # asyncio.run's task cleanup wait for it forever.
+        loop = asyncio.new_event_loop()
+        try:
+            assert loop.run_until_complete(cycles()), "close() hung"
+        finally:
+            loop.close()
+
+    def test_health_poller_feeds_the_breaker(self):
+        flaky = FakeBackend(name="flaky")
+        down = {"value": True}
+
+        async def stats():
+            if down["value"]:
+                raise BackendError("backend flaky: stats poll refused")
+            return {"queue_depth": 0}
+
+        flaky.stats = stats
+
+        async def wait_for_breaker(gateway, state):
+            for _ in range(200):
+                if gateway.breakers["flaky"].state_name == state:
+                    return True
+                await asyncio.sleep(0.01)
+            return False
+
+        async def scenario():
+            async with Gateway(
+                [flaky, FakeBackend(name="steady")],
+                coalesce_window=0.0,
+                health_interval=0.01,
+                breaker_threshold=2,
+                breaker_reset=60.0,
+            ) as gateway:
+                opened = await wait_for_breaker(gateway, "open")
+                down["value"] = False
+                closed = await wait_for_breaker(gateway, "closed")
+                return opened, closed, await gateway.stats()
+
+        opened, closed, stats = asyncio.run(scenario())
+        # Failed polls alone trip the breaker: no query was ever sent.
+        assert opened, "failed stats polls must open the breaker"
+        assert flaky.calls == [] and flaky.topk_calls == []
+        # A live poll closes it again, long before the reset timeout.
+        assert closed, "a successful poll must close the breaker"
+        assert stats["backends"]["flaky"]["healthy"] is True
 
 
 class TestBitIdentityThroughGateway:
@@ -430,7 +515,6 @@ class TestWireTier:
                     backends,
                     coalesce_window=0.01,
                     health_interval=0,
-                    failover_cooldown=0.5,
                 )
                 async with gateway:
                     seeds = list(range(16))

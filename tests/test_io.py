@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Graph, GraphFormatError, load_edge_list, save_edge_list
+from repro import GraphFormatError, load_edge_list, save_edge_list
 
 
 class TestRoundtrip:

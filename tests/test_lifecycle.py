@@ -20,7 +20,6 @@ from repro.gateway import (
     Gateway,
     GatewayResult,
     GatewayServer,
-    LocalBackend,
     RetryBudget,
     compute_retry_after,
 )
@@ -457,7 +456,6 @@ class TestBreakerIntegration:
                 [bad, good],
                 coalesce_window=0.0,
                 health_interval=0,
-                failover_cooldown=0.0,  # retry 'bad' immediately each time
                 breaker_threshold=3,
                 breaker_reset=60.0,
             ) as gateway:
@@ -483,7 +481,6 @@ class TestBreakerIntegration:
                 [bad, good],
                 coalesce_window=0.0,
                 health_interval=0,
-                failover_cooldown=0.0,
                 breaker_threshold=1,
                 breaker_reset=60.0,
             ) as gateway:
@@ -508,7 +505,6 @@ class TestBreakerIntegration:
                 [flaky, good],
                 coalesce_window=0.0,
                 health_interval=0,
-                failover_cooldown=0.0,
                 breaker_threshold=1,
                 breaker_reset=0.05,
             ) as gateway:
@@ -543,7 +539,6 @@ class TestBreakerIntegration:
                 [bad, good],
                 coalesce_window=0.0,
                 health_interval=0,
-                failover_cooldown=0.0,
                 breaker_threshold=100,  # keep the breaker out of the way
                 retry_budget_ratio=0.0,
                 retry_budget_burst=0.0,  # no retries at all
@@ -630,7 +625,6 @@ class TestDegradationLadder:
                 [backend],
                 coalesce_window=0.0,
                 health_interval=0,
-                failover_cooldown=0.0,
                 breaker_threshold=100,
                 retry_budget_burst=0.0,
                 retry_budget_ratio=0.0,
@@ -650,6 +644,31 @@ class TestDegradationLadder:
         assert np.array_equal(degraded.value, exact.value)
         assert cache_hits == 1
 
+    def test_cached_dense_row_owns_its_memory(self):
+        async def scenario():
+            backend = FakeBackend(name="only")
+            async with Gateway(
+                [backend],
+                coalesce_window=0.02,
+                health_interval=0,
+                breaker_threshold=100,
+                retry_budget_burst=0.0,
+                retry_budget_ratio=0.0,
+            ) as gateway:
+                seeds = list(range(8))
+                await asyncio.gather(*(gateway.query(s) for s in seeds))
+                batched = backend.calls
+                backend.fail = True
+                stale = await gateway.query_detailed(3)
+                return batched, stale
+
+        batched, stale = asyncio.run(scenario())
+        assert batched == [list(range(8))], "the seeds must share one batch"
+        assert stale.degraded and stale.value[0] == 3.0
+        # A view into the (8, n) batch array would keep the whole batch
+        # alive for as long as this one row sits in the cache.
+        assert stale.value.base is None
+
     def test_approx_rung_when_cache_misses(self):
         async def scenario():
             backend = FakeBackend(name="only", fail=True)
@@ -658,7 +677,6 @@ class TestDegradationLadder:
                 [backend],
                 coalesce_window=0.0,
                 health_interval=0,
-                failover_cooldown=0.0,
                 breaker_threshold=100,
                 retry_budget_burst=0.0,
                 retry_budget_ratio=0.0,
@@ -682,7 +700,6 @@ class TestDegradationLadder:
                 [backend],
                 coalesce_window=0.0,
                 health_interval=0,
-                failover_cooldown=0.0,
                 breaker_threshold=100,
                 retry_budget_burst=0.0,
                 retry_budget_ratio=0.0,
@@ -705,7 +722,6 @@ class TestDegradationLadder:
                 [backend],
                 coalesce_window=0.0,
                 health_interval=0,
-                failover_cooldown=0.0,
                 retry_budget_burst=0.0,
                 retry_budget_ratio=0.0,
                 degraded_answerer=answerer,

@@ -20,7 +20,6 @@ from repro.core.topk import (
     select_topk,
     to_pairs,
     topk_from_scores,
-    validate_k,
 )
 from repro.serve import TopKCache, WorkerPool
 from repro.store import ArtifactStore

@@ -1,16 +1,39 @@
 """Tests for the length-prefixed binary wire protocol."""
 
+import asyncio
 import socket
 import struct
+import time
 
 import numpy as np
 import pytest
 
-from repro import wire
+from repro import faults, wire
+from repro.faults import ConnectionDrop, FaultPlan, FrameCorrupt, SlowLink
 
 
 def _roundtrip(message):
     return wire.decode_message(wire.encode_message(message))
+
+
+def _over_socketpair(scenario):
+    """Run ``scenario(sender, reader)`` on asyncio streams over a socketpair.
+
+    ``sender`` is the writer of one end, ``reader`` the reader of the
+    other; both ends are closed afterwards.  Returns the scenario's result.
+    """
+
+    async def main():
+        left, right = socket.socketpair()
+        _, sender = await asyncio.open_connection(sock=left)
+        reader, receiver = await asyncio.open_connection(sock=right)
+        try:
+            return await scenario(sender, reader)
+        finally:
+            for writer in (sender, receiver):
+                writer.close()
+
+    return asyncio.run(main())
 
 
 class TestRoundTrips:
@@ -101,6 +124,16 @@ class TestMalformedFrames:
         with pytest.raises(wire.ProtocolError, match="version"):
             wire.decode_message(bad)
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_protocol_versions_rejected(self, version):
+        # Every peer ships from this repository: a v1 or v2 frame is a
+        # stale peer, not a dialect to parse.
+        seeds = np.array([5, 9], dtype=np.int64)
+        body = struct.pack("<I", 2) + seeds.astype("<i8").tobytes()
+        frame = bytes([version, wire.OP_QUERY]) + body
+        with pytest.raises(wire.ProtocolError, match=f"version {version}"):
+            wire.decode_message(frame)
+
     def test_unknown_opcode(self):
         bad = struct.pack("<BB", wire.PROTOCOL_VERSION, 250)
         with pytest.raises(wire.ProtocolError, match="unknown opcode"):
@@ -128,50 +161,51 @@ class TestMalformedFrames:
 
 
 class TestBlockingTransport:
+    """Frames over a connected socketpair, driven from synchronous test
+    code through the one transport, ``write_message``/``read_message``."""
+
     def test_send_recv_over_socketpair(self):
-        left, right = socket.socketpair()
-        try:
-            seeds = np.array([5, 6], dtype=np.int64)
-            wire.send_message(left, wire.QueryRequest(seeds=seeds))
-            wire.send_message(left, wire.StatsRequest())
-            first = wire.recv_message(right)
-            second = wire.recv_message(right)
-            assert np.array_equal(first.seeds, seeds)
-            assert isinstance(second, wire.StatsRequest)
+        seeds = np.array([5, 6], dtype=np.int64)
+
+        async def scenario(sender, reader):
+            await wire.write_message(sender, wire.QueryRequest(seeds=seeds))
+            await wire.write_message(sender, wire.StatsRequest())
+            first = await wire.read_message(reader)
+            second = await wire.read_message(reader)
             # Clean close between frames reads as None, not an error.
-            left.close()
-            assert wire.recv_message(right) is None
-        finally:
-            right.close()
+            sender.close()
+            return first, second, await wire.read_message(reader)
+
+        first, second, eof = _over_socketpair(scenario)
+        assert np.array_equal(first.seeds, seeds)
+        assert isinstance(second, wire.StatsRequest)
+        assert eof is None
 
     def test_mid_frame_close_is_a_protocol_error(self):
-        left, right = socket.socketpair()
-        try:
+        async def scenario(sender, reader):
             frame = wire.pack_frame(
                 wire.encode_message(wire.StatsRequest()) + b"padding"
             )
-            left.sendall(frame[:5])  # length prefix + 1 payload byte
-            left.close()
+            sender.write(frame[:5])  # length prefix + 1 payload byte
+            await sender.drain()
+            sender.close()
             with pytest.raises(wire.ProtocolError, match="mid-frame"):
-                wire.recv_message(right)
-        finally:
-            right.close()
+                await wire.read_message(reader)
+
+        _over_socketpair(scenario)
 
     def test_recv_rejects_length_prefix_bomb(self):
-        left, right = socket.socketpair()
-        try:
-            left.sendall(struct.pack("<I", wire.MAX_FRAME_BYTES + 1))
+        async def scenario(sender, reader):
+            sender.write(struct.pack("<I", wire.MAX_FRAME_BYTES + 1))
+            await sender.drain()
             with pytest.raises(wire.ProtocolError, match="MAX_FRAME_BYTES"):
-                wire.recv_message(right)
-        finally:
-            left.close()
-            right.close()
+                await wire.read_message(reader)
+
+        _over_socketpair(scenario)
 
 
 class TestAsyncTransport:
     def test_stream_roundtrip_and_clean_eof(self):
-        import asyncio
-
         async def scenario():
             server_side = {}
 
@@ -204,8 +238,7 @@ class TestAsyncTransport:
 
 
 class TestTraceTrailers:
-    """Protocol v2: optional trace contexts on requests, span records on
-    replies, and back-compat with trailer-less v1 frames."""
+    """Optional trace contexts on requests and span records on replies."""
 
     def test_query_request_trace_round_trip(self):
         trace = ((2**62 + 5, 7), (11, 2**50))
@@ -248,24 +281,6 @@ class TestTraceTrailers:
         decoded = _roundtrip(wire.MetricsRequest())
         assert isinstance(decoded, wire.MetricsRequest)
 
-    def test_v1_query_frame_still_parses(self):
-        seeds = np.array([5, 9], dtype=np.int64)
-        body = struct.pack("<I", 2) + seeds.astype("<i8").tobytes()
-        frame = bytes([1, wire.OP_QUERY]) + body
-        decoded = wire.decode_message(frame)
-        assert isinstance(decoded, wire.QueryRequest)
-        assert np.array_equal(decoded.seeds, seeds)
-        assert decoded.trace == ()
-
-    def test_v1_topk_frame_still_parses(self):
-        seeds = np.array([7], dtype=np.int64)
-        body = struct.pack("<IIB", 1, 4, 1) + seeds.astype("<i8").tobytes()
-        frame = bytes([1, wire.OP_TOPK]) + body
-        decoded = wire.decode_message(frame)
-        assert isinstance(decoded, wire.TopKRequest)
-        assert decoded.k == 4 and decoded.exclude_seed is True
-        assert decoded.trace == ()
-
     def test_truncated_trace_trailer_rejected(self):
         encoded = wire.encode_message(
             wire.QueryRequest(
@@ -277,8 +292,8 @@ class TestTraceTrailers:
 
 
 class TestDeadlineTrailers:
-    """Protocol v3: optional deadline budget on requests, degraded flag +
-    error bound on replies, and back-compat with trailer-less v2 frames."""
+    """Optional deadline budget on requests, degraded flag + error bound
+    on replies."""
 
     def test_query_request_deadline_round_trip(self):
         decoded = _roundtrip(
@@ -352,35 +367,6 @@ class TestDeadlineTrailers:
         assert decoded.trace_records == records
         assert decoded.degraded is True
 
-    def test_v2_query_frame_without_deadline_still_parses(self):
-        # A v2 client sends seeds + trace trailer and nothing else.
-        seeds = np.array([5, 9], dtype=np.int64)
-        body = (
-            struct.pack("<I", 2)
-            + seeds.astype("<i8").tobytes()
-            + struct.pack("<I", 1)
-            + struct.pack("<QQ", 10, 20)
-        )
-        frame = bytes([2, wire.OP_QUERY]) + body
-        decoded = wire.decode_message(frame)
-        assert isinstance(decoded, wire.QueryRequest)
-        assert np.array_equal(decoded.seeds, seeds)
-        assert decoded.trace == ((10, 20),)
-        assert decoded.deadline_ms is None
-
-    def test_v2_dense_reply_decodes_undegraded(self):
-        scores = np.ones((1, 2))
-        body = (
-            struct.pack("<I", 1)
-            + struct.pack("<Q", 2)
-            + scores.astype("<f8").tobytes()
-        )
-        frame = bytes([2, wire.REPLY_DENSE]) + body
-        decoded = wire.decode_message(frame)
-        assert isinstance(decoded, wire.DenseReply)
-        assert decoded.degraded is False
-        assert decoded.error_bound == 0.0
-
     def test_truncated_deadline_trailer_rejected(self):
         encoded = wire.encode_message(
             wire.QueryRequest(
@@ -404,43 +390,28 @@ class TestPartialFrameTimeouts:
     """A peer that accepts but never completes a frame must not hang the
     reader forever: ``timeout`` bounds every partial read."""
 
-    def test_sync_recv_times_out_mid_frame(self):
-        left, right = socket.socketpair()
-        try:
+    def test_read_times_out_mid_frame(self):
+        async def scenario(sender, reader):
             frame = wire.pack_frame(
                 wire.encode_message(wire.StatsRequest()) + b"padding"
             )
-            left.sendall(frame[:5])  # length prefix + 1 byte, then silence
+            sender.write(frame[:5])  # length prefix + 1 byte, then silence
+            await sender.drain()
             with pytest.raises(wire.ProtocolError, match="timed out"):
-                wire.recv_message(right, timeout=0.2)
-        finally:
-            left.close()
-            right.close()
+                await wire.read_message(reader, timeout=0.2)
 
-    def test_sync_recv_times_out_on_missing_length_prefix(self):
-        left, right = socket.socketpair()
-        try:
-            left.sendall(b"\x01")  # 1 of 4 length-prefix bytes
+        _over_socketpair(scenario)
+
+    def test_read_times_out_on_missing_length_prefix(self):
+        async def scenario(sender, reader):
+            sender.write(b"\x01")  # 1 of 4 length-prefix bytes
+            await sender.drain()
             with pytest.raises(wire.ProtocolError, match="timed out"):
-                wire.recv_message(right, timeout=0.2)
-        finally:
-            left.close()
-            right.close()
+                await wire.read_message(reader, timeout=0.2)
 
-    def test_sync_recv_restores_socket_timeout(self):
-        left, right = socket.socketpair()
-        try:
-            right.settimeout(7.5)
-            wire.send_message(left, wire.StatsRequest())
-            wire.recv_message(right, timeout=1.0)
-            assert right.gettimeout() == pytest.approx(7.5)
-        finally:
-            left.close()
-            right.close()
+        _over_socketpair(scenario)
 
     def test_async_read_times_out_mid_frame(self):
-        import asyncio
-
         async def scenario():
             async def handler(reader, writer):
                 frame = wire.pack_frame(
@@ -461,8 +432,6 @@ class TestPartialFrameTimeouts:
         asyncio.run(scenario())
 
     def test_async_complete_frame_unaffected_by_timeout(self):
-        import asyncio
-
         async def scenario():
             async def handler(reader, writer):
                 request = await wire.read_message(reader, timeout=1.0)
@@ -491,107 +460,83 @@ class TestWireFaultInjection:
     """Network fault specs act on endpoint-tagged transport calls."""
 
     def setup_method(self):
-        from repro import faults
-
         faults.clear()
 
     def teardown_method(self):
-        from repro import faults
-
         faults.clear()
 
     def test_connection_drop_raises_reset(self):
-        from repro import faults
-        from repro.faults import ConnectionDrop, FaultPlan
-
-        left, right = socket.socketpair()
-        try:
+        async def scenario(sender, reader):
             with faults.active(FaultPlan(
                 connection_drops=(ConnectionDrop(endpoint="b1", count=1),)
             )):
                 with pytest.raises(ConnectionResetError):
-                    wire.send_message(
-                        left, wire.StatsRequest(), endpoint="b1"
+                    await wire.write_message(
+                        sender, wire.StatsRequest(), endpoint="b1"
                     )
                 # Budget spent: the next send goes through.
-                wire.send_message(left, wire.StatsRequest(), endpoint="b1")
-                assert isinstance(
-                    wire.recv_message(right), wire.StatsRequest
+                await wire.write_message(
+                    sender, wire.StatsRequest(), endpoint="b1"
                 )
-        finally:
-            left.close()
-            right.close()
+                return await wire.read_message(reader)
+
+        assert isinstance(_over_socketpair(scenario), wire.StatsRequest)
 
     def test_drop_only_matches_its_endpoint(self):
-        from repro import faults
-        from repro.faults import ConnectionDrop, FaultPlan
-
-        left, right = socket.socketpair()
-        try:
+        async def scenario(sender, reader):
             with faults.active(FaultPlan(
                 connection_drops=(ConnectionDrop(endpoint="other", count=1),)
             )):
-                wire.send_message(left, wire.StatsRequest(), endpoint="b1")
-                assert isinstance(
-                    wire.recv_message(right), wire.StatsRequest
+                await wire.write_message(
+                    sender, wire.StatsRequest(), endpoint="b1"
                 )
-        finally:
-            left.close()
-            right.close()
+                return await wire.read_message(reader)
+
+        assert isinstance(_over_socketpair(scenario), wire.StatsRequest)
 
     def test_frame_corrupt_breaks_decode_at_the_peer(self):
-        from repro import faults
-        from repro.faults import FaultPlan, FrameCorrupt
-
-        left, right = socket.socketpair()
-        try:
+        async def scenario(sender, reader):
             with faults.active(FaultPlan(
                 frame_corrupts=(FrameCorrupt(endpoint="b1", count=1),)
             )):
-                wire.send_message(left, wire.StatsRequest(), endpoint="b1")
+                await wire.write_message(
+                    sender, wire.StatsRequest(), endpoint="b1"
+                )
             with pytest.raises(wire.ProtocolError, match="version"):
-                wire.recv_message(right)
-        finally:
-            left.close()
-            right.close()
+                await wire.read_message(reader)
+
+        _over_socketpair(scenario)
 
     def test_slow_link_delays_but_delivers(self):
-        import time as _time
-
-        from repro import faults
-        from repro.faults import FaultPlan, SlowLink
-
-        left, right = socket.socketpair()
-        try:
+        async def scenario(sender, reader):
             with faults.active(FaultPlan(
                 slow_links=(SlowLink(endpoint="b1", seconds=0.05),)
             )):
-                started = _time.perf_counter()
-                wire.send_message(left, wire.StatsRequest(), endpoint="b1")
-                elapsed = _time.perf_counter() - started
-            assert elapsed >= 0.05
-            assert isinstance(wire.recv_message(right), wire.StatsRequest)
-        finally:
-            left.close()
-            right.close()
+                started = time.perf_counter()
+                await wire.write_message(
+                    sender, wire.StatsRequest(), endpoint="b1"
+                )
+                elapsed = time.perf_counter() - started
+            return elapsed, await wire.read_message(reader)
+
+        elapsed, message = _over_socketpair(scenario)
+        assert elapsed >= 0.05
+        assert isinstance(message, wire.StatsRequest)
 
     def test_drop_after_frames_lets_earlier_frames_through(self):
-        from repro import faults
-        from repro.faults import ConnectionDrop, FaultPlan
-
-        left, right = socket.socketpair()
-        try:
+        async def scenario(sender, reader):
             with faults.active(FaultPlan(
                 connection_drops=(
                     ConnectionDrop(endpoint="b1", after_frames=2, count=1),
                 )
             )):
-                wire.send_message(left, wire.StatsRequest(), endpoint="b1")
-                wire.send_message(left, wire.StatsRequest(), endpoint="b1")
-                with pytest.raises(ConnectionResetError):
-                    wire.send_message(
-                        left, wire.StatsRequest(), endpoint="b1"
+                for _ in range(2):
+                    await wire.write_message(
+                        sender, wire.StatsRequest(), endpoint="b1"
                     )
-        finally:
-            left.close()
-            right.close()
+                with pytest.raises(ConnectionResetError):
+                    await wire.write_message(
+                        sender, wire.StatsRequest(), endpoint="b1"
+                    )
+
+        _over_socketpair(scenario)
