@@ -1,12 +1,12 @@
-"""Serving benchmark: mmap-backed artifact directories vs .npz loading.
+"""Serving benchmark: mmap-backed vs eager loading of an artifact directory.
 
 Measures what the build/serve split buys a multi-process deployment:
 
-- **cold-start time** — opening a v3 artifact directory memory-maps raw
-  ``.npy`` files (nothing is decompressed, nothing is read until touched),
-  while loading the v2 ``.npz`` archive decompresses every matrix up
-  front.
-- **per-worker incremental memory** — each extra ``.npz``-based worker
+- **cold-start time** — opening an artifact directory with ``mmap=True``
+  maps the raw ``.npy`` files (nothing is read until touched), while an
+  eager ``mmap=False`` load of the same directory reads every matrix into
+  private memory up front.
+- **per-worker incremental memory** — each extra eagerly loading worker
   pays for a full private copy of the preprocessed matrices (~100% of the
   artifact payload); an mmap-backed worker adds almost nothing at load
   time, because its pages come from the shared OS page cache.
@@ -21,7 +21,7 @@ Run modes
 default (full)
     Scale-14 R-MAT; additionally asserts the acceptance numbers: mmap
     worker load RSS delta < 25% of the artifact payload, private-copy
-    (``.npz``-equivalent) delta in the vicinity of 100%.  (Each worker
+    (eager) delta in the vicinity of 100%.  (Each worker
     carries ~0.75 MiB of fixed interpreter/allocator overhead in its load
     delta, so the percentage bound needs a payload of a few MiB to be
     meaningful — hence the default scale.)
@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro import BePI, generate_rmat
-from repro.persistence import artifact_nbytes, save_artifacts, save_solver
+from repro.persistence import artifact_nbytes, save_artifacts
 from repro.serve import WorkerPool, open_query_engine
 
 RESTART_PROBABILITY = 0.05
@@ -58,28 +58,24 @@ def _build(scale: int, n_edges: Optional[int], workdir: Path):
     ).preprocess(graph)
     artifact_dir = workdir / "artifacts"
     save_artifacts(solver, artifact_dir)
-    npz_path = save_solver(solver, workdir / "solver.npz")
     payload = artifact_nbytes(artifact_dir)
     print(f"graph: R-MAT scale {scale} — {graph.n_nodes:,} nodes, "
           f"{graph.n_edges:,} edges")
-    print(f"artifact payload: {payload / 1024:,.0f} KiB "
-          f"(.npz archive: {npz_path.stat().st_size / 1024:,.0f} KiB)")
-    return graph, solver, artifact_dir, npz_path, payload
+    print(f"artifact payload: {payload / 1024:,.0f} KiB")
+    return graph, solver, artifact_dir, payload
 
 
-def _cold_load_times(artifact_dir: Path, npz_path: Path, repeats: int):
-    from repro.persistence import load_solver
-
+def _cold_load_times(artifact_dir: Path, repeats: int):
     mmap_s = []
-    npz_s = []
+    eager_s = []
     for _ in range(repeats):
         start = time.perf_counter()
         open_query_engine(artifact_dir)
         mmap_s.append(time.perf_counter() - start)
         start = time.perf_counter()
-        load_solver(npz_path)
-        npz_s.append(time.perf_counter() - start)
-    return min(mmap_s), min(npz_s)
+        open_query_engine(artifact_dir, mmap=False)
+        eager_s.append(time.perf_counter() - start)
+    return min(mmap_s), min(eager_s)
 
 
 def _pool_load_deltas(artifact_dir: Path, n_workers: int, mmap: bool):
@@ -102,16 +98,16 @@ def run(scale: int, n_edges: Optional[int], repeats: int, smoke: bool) -> None:
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        graph, solver, artifact_dir, npz_path, payload = _build(
+        graph, solver, artifact_dir, payload = _build(
             scale, n_edges, Path(tmp)
         )
 
         _check_worker_correctness(solver, artifact_dir, [0, 3, 11])
 
-        mmap_load, npz_load = _cold_load_times(artifact_dir, npz_path, repeats)
-        print(f"cold load  mmap dir: {mmap_load * 1e3:8.2f}ms")
-        print(f"cold load  .npz:     {npz_load * 1e3:8.2f}ms   "
-              f"({npz_load / mmap_load:.1f}x slower)")
+        mmap_load, eager_load = _cold_load_times(artifact_dir, repeats)
+        print(f"cold load  mmap:  {mmap_load * 1e3:8.2f}ms")
+        print(f"cold load  eager: {eager_load * 1e3:8.2f}ms   "
+              f"({eager_load / mmap_load:.1f}x the mmap time)")
 
         mmap_deltas = _pool_load_deltas(artifact_dir, 2, mmap=True)
         copy_deltas = _pool_load_deltas(artifact_dir, 2, mmap=False)

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from repro import BePI, generate_rmat, load_solver, save_solver
+from repro import BePI, generate_rmat, load_solver, save_artifacts
 from repro.core.dynamic import DynamicRWR
 
 
@@ -54,9 +54,7 @@ def main() -> None:
     print(f"top-5 for user {user} after updates:  {updated_top.tolist()}")
 
     # --- Persist the fresh index for the next serving process ------------
-    with tempfile.NamedTemporaryFile(suffix=".npz", delete=False) as handle:
-        path = handle.name
-    save_solver(dynamic.solver, path)
+    path = save_artifacts(dynamic.solver, tempfile.mkdtemp(suffix="-artifacts"))
     served = load_solver(path)
     same = np.allclose(served.query(user), dynamic.query(user))
     print(f"\nsaved index to {path}; reloaded copy answers identically: {same}")

@@ -69,7 +69,6 @@ from repro.persistence import (
     load_artifacts,
     load_solver,
     save_artifacts,
-    save_solver,
     verify_artifacts,
 )
 from repro.core.topk import TopKResult
@@ -181,7 +180,6 @@ __all__ = [
     "open_query_engine",
     "save_artifacts",
     "save_edge_list",
-    "save_solver",
     "select_hub_ratio",
     "sweep_hub_ratios",
     "telemetry",

@@ -3,9 +3,9 @@
 Commands
 --------
 ``stats``       structural statistics of an edge-list graph
-``preprocess``  preprocess a graph with BePI and save the solver (.npz)
 ``build``       preprocess and export a serving artifact directory (or store)
-``query``       top-k RWR ranking for a seed (edge list, .npz, or artifact dir)
+``query``       top-k RWR ranking for a seed (edge list, artifact directory,
+                or store root)
 ``serve``       answer seed batches from worker processes over an artifact dir
                 (``--listen HOST:PORT`` exposes the pool over the wire protocol;
                 ``--follow-store SECONDS`` hot-swaps onto newly published
@@ -48,7 +48,7 @@ from repro.approximate import MonteCarloSolver
 from repro.applications import top_k
 from repro.bench.harness import ExperimentRunner, format_records
 from repro.graph.stats import compute_stats
-from repro.persistence import artifact_nbytes, load_solver, save_artifacts, save_solver
+from repro.persistence import artifact_nbytes, load_solver, save_artifacts
 from repro.telemetry import MetricsRegistry
 
 _METHODS = {
@@ -157,23 +157,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"max in-degree    {stats.max_in_degree:,}")
     print(f"mean out-degree  {stats.mean_out_degree:.2f}")
     print(f"degree tail slope {stats.degree_tail_slope:.2f}")
-    return 0
-
-
-def _cmd_preprocess(args: argparse.Namespace) -> int:
-    graph = load_edge_list(args.graph)
-    solver = _build_solver(args)
-    if not isinstance(solver, BePI):
-        print("error: only the BePI family supports saving", file=sys.stderr)
-        return 2
-    solver.preprocess(graph)
-    save_solver(solver, args.output)
-    print(f"preprocessed {graph.n_nodes:,} nodes / {graph.n_edges:,} edges "
-          f"in {solver.stats['preprocess_seconds']:.3f}s")
-    print(f"partition: n1={solver.stats['n1']} n2={solver.stats['n2']} "
-          f"n3={solver.stats['n3']}")
-    print(f"saved {solver.memory_bytes():,} bytes of preprocessed data "
-          f"to {args.output}")
     return 0
 
 
@@ -614,7 +597,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    if str(args.graph).endswith(".npz") or os.path.isdir(args.graph):
+    if os.path.isdir(args.graph):
         solver = load_solver(args.graph)
     else:
         graph = load_edge_list(args.graph)
@@ -971,12 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("graph", help="edge-list file")
     p_stats.set_defaults(func=_cmd_stats)
 
-    p_pre = sub.add_parser("preprocess", help="preprocess and save a solver")
-    p_pre.add_argument("graph", help="edge-list file")
-    p_pre.add_argument("-o", "--output", required=True, help="output .npz path")
-    _add_solver_options(p_pre)
-    p_pre.set_defaults(func=_cmd_preprocess)
-
     p_build = sub.add_parser(
         "build", help="preprocess and export a serving artifact directory"
     )
@@ -1148,8 +1125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_top.set_defaults(func=_cmd_top)
 
     p_query = sub.add_parser("query", help="top-k RWR ranking for a seed")
-    p_query.add_argument("graph", help="edge-list file, saved solver (.npz), "
-                                       "or artifact directory")
+    p_query.add_argument("graph", help="edge-list file, artifact directory, "
+                                       "or store root")
     p_query.add_argument("--seed", type=int, required=True, help="seed node id")
     p_query.add_argument("--top", type=int, default=10, help="ranking size")
     p_query.add_argument("--metrics-out", metavar="PATH", default=None,

@@ -144,8 +144,9 @@ def accuracy_bound(solver: BePI, seed: int) -> AccuracyBound:
         if "H11" in blocks:
             sigma_min_h11 = smallest_singular_value(blocks["H11"])
         else:
-            # Solvers restored from a v2 archive carry only the inverted LU
-            # factors; sigma_min(H11) = 1 / sigma_max(H11^{-1}) exactly.
+            # Solvers loaded from an artifact directory carry only the
+            # inverted LU factors; sigma_min(H11) = 1 / sigma_max(H11^{-1})
+            # exactly.
             h11_inv = artifacts.h11_factors.u_inv @ artifacts.h11_factors.l_inv
             inv_norm = spectral_norm(h11_inv)
             sigma_min_h11 = 1.0 / inv_norm if inv_norm > 0 else math.inf

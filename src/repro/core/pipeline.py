@@ -97,8 +97,8 @@ class PreprocessArtifacts:
     nnz_h22, nnz_correction:
         Non-zero counts of ``H22`` and of ``H21 H11^{-1} H12`` (the two
         sides of the Section 3.4 bound), recorded as Schur-build
-        by-products; ``None`` on artifacts reconstructed from a saved
-        archive.
+        by-products; ``None`` on artifacts loaded from an artifact
+        directory.
     """
 
     permutation: Permutation

@@ -115,7 +115,7 @@ class Graph:
         The constructor's canonicalization (``sum_duplicates`` /
         ``eliminate_zeros`` / ``sort_indices``) mutates the CSR buffers, which
         fails on the read-only arrays produced by ``np.load(mmap_mode="r")``.
-        This trusted constructor skips it so memory-mapped artifact archives
+        This trusted constructor skips it so memory-mapped artifact directories
         stay zero-copy; the caller guarantees the matrix is square, sorted,
         duplicate-free, non-negative and float64 (true for anything written by
         :mod:`repro.persistence`, which serializes canonical CSR buffers).

@@ -36,7 +36,7 @@ Operator = Union[sp.spmatrix, np.ndarray, MatVec]
 #: Arnoldi steps allocated up front; the basis doubles from here as needed.
 INITIAL_BASIS_CAPACITY = 32
 
-# ``gmres_multi(mode="auto")``: largest estimated block Krylov basis (bytes)
+# ``gmres_multi``: largest estimated block Krylov basis (bytes)
 # for which the unpreconditioned lockstep engine is still preferred over
 # column-by-column solves (see the dispatch comment in ``gmres_multi``).
 _BLOCK_BASIS_BUDGET_BYTES = 64 * 1024 * 1024
@@ -691,7 +691,6 @@ def gmres_multi(
     raise_on_stagnation: bool = False,
     callback: Optional[Callable[[int, int, float], None]] = None,
     workspace: Optional[GMRESWorkspace] = None,
-    mode: str = "auto",
     deadline: Optional[float] = None,
 ) -> GMRESBatchResult:
     """Solve ``A X = B`` for a block of right-hand sides in one call.
@@ -708,7 +707,7 @@ def gmres_multi(
     order, so its results can differ from the sequential engine's in the
     last bits.
 
-    ``mode="auto"`` runs a one-column block sequentially (there is nothing
+    A one-column block runs sequentially (there is nothing
     to amortize).  For wider blocks it picks the block engine when a
     block-capable preconditioner is present (its per-column application
     cost is what the block engine amortizes); unpreconditioned systems
@@ -736,11 +735,6 @@ def gmres_multi(
     workspace:
         Shared :class:`GMRESWorkspace` used by the column-by-column path;
         the block engine sizes its initial Krylov capacity from it.
-    mode:
-        ``"auto"`` (default), ``"block"`` or ``"sequential"``.  ``"block"``
-        forces the lockstep engine (requires a matrix operator and a
-        block-capable preconditioner or none); ``"sequential"`` forces the
-        column-by-column path.
     deadline:
         Optional ``time.monotonic()`` instant; when passed, both engines
         stop at the next iteration boundary and return every column's
@@ -767,39 +761,26 @@ def gmres_multi(
     if k == 0:
         return GMRESBatchResult(x=np.zeros((n, 0), dtype=np.float64), columns=[])
 
-    if mode not in ("auto", "block", "sequential"):
-        raise InvalidParameterError(
-            f"mode must be 'auto', 'block' or 'sequential', got {mode!r}"
-        )
     operator_is_matrix = sp.issparse(operator) or isinstance(operator, np.ndarray)
     preconditioner_blocks = preconditioner is None or hasattr(preconditioner, "solve")
-    block_capable = operator_is_matrix and preconditioner_blocks
-    if mode == "block" and not block_capable:
-        raise InvalidParameterError(
-            "mode='block' requires a matrix operator and a block-capable "
-            "preconditioner (an object with .solve, or None)"
-        )
-    if mode == "auto":
-        # A single column has nothing to amortize, and the block engine's
-        # per-column bookkeeping makes it slower than the single-RHS loop,
-        # so k = 1 always runs sequentially.  For wider blocks the block
-        # engine amortizes the preconditioner application across columns,
-        # so it always wins when one is present.  Without a preconditioner
-        # the trade is per-column Python overhead against memory traffic on
-        # the (iterations, n, k) block basis: once that basis outgrows the
-        # cache the lockstep engine is bandwidth-bound and sequential
-        # solves (each with a small cache-resident basis) are faster.
-        expected_steps = min(
-            40,
-            restart if restart is not None else 40,
-            max_iterations if max_iterations is not None else 40,
-        )
-        basis_bytes = (expected_steps + 1) * n * k * 8
-        use_block = block_capable and k > 1 and (
-            preconditioner is not None or basis_bytes <= _BLOCK_BASIS_BUDGET_BYTES
-        )
-    else:
-        use_block = mode == "block"
+    # A single column has nothing to amortize, and the block engine's
+    # per-column bookkeeping makes it slower than the single-RHS loop,
+    # so k = 1 always runs sequentially.  For wider blocks the block
+    # engine amortizes the preconditioner application across columns,
+    # so it always wins when one is present.  Without a preconditioner
+    # the trade is per-column Python overhead against memory traffic on
+    # the (iterations, n, k) block basis: once that basis outgrows the
+    # cache the lockstep engine is bandwidth-bound and sequential
+    # solves (each with a small cache-resident basis) are faster.
+    expected_steps = min(
+        40,
+        restart if restart is not None else 40,
+        max_iterations if max_iterations is not None else 40,
+    )
+    basis_bytes = (expected_steps + 1) * n * k * 8
+    use_block = operator_is_matrix and preconditioner_blocks and k > 1 and (
+        preconditioner is not None or basis_bytes <= _BLOCK_BASIS_BUDGET_BYTES
+    )
     if use_block:
         if max_iterations is None:
             max_iterations = max(n, 1)

@@ -2,49 +2,30 @@
 
 The whole point of a preprocessing method is to pay the reordering /
 factorization cost once and then serve queries indefinitely — including
-from other processes and after restarts.  Two on-disk representations are
-supported:
+from other processes and after restarts.  :func:`save_artifacts` writes
+one on-disk format (v4): a *directory* holding ``manifest.json`` plus one
+raw ``.npy`` file per array under ``arrays/``.
 
-- :func:`save_solver` / :func:`load_solver` — a single compressed ``.npz``
-  archive (format v2).  Compact and portable, but loading decompresses
-  every matrix into private process memory.
-- :func:`save_artifacts` / :func:`load_artifacts` — a *directory* holding
-  ``manifest.json`` plus one raw ``.npy`` file per array (format v3).
-  Loading with ``mmap=True`` (the default) memory-maps every array
+- Loading with ``mmap=True`` (the default) memory-maps every array
   read-only and reassembles the CSR blocks **zero-copy**, so any number of
   worker processes opening the same directory share physical pages through
-  the OS page cache.  This is the serving format used by
-  :mod:`repro.serve`.
+  the OS page cache.  Index arrays keep their in-memory dtype (typically
+  ``int32``) so scipy reuses the mapped buffers instead of copying.
+- The manifest carries a SHA-256 checksum of every array file.
+  :func:`load_artifacts` verifies them before reassembly (``verify=False``
+  skips, for benchmarks that measure pure open cost), so a flipped bit on
+  disk surfaces as :class:`~repro.exceptions.ArtifactIntegrityError` at
+  load time instead of as silently wrong scores;
+  :class:`repro.store.ArtifactStore` quarantines such generations and
+  rolls back.
 
 Only matrices the query phase needs are stored — the same list the
-paper's Algorithm 3 returns — so file size tracks
+paper's Algorithm 3 returns, which holds ``L1^{-1}`` / ``U1^{-1}`` but not
+``H11`` itself — so file size tracks
 :meth:`~repro.core.base.RWRSolver.memory_bytes`.
 
-Format history
---------------
-- **v4** (current, directory): v3 plus per-array SHA-256 checksums in the
-  manifest.  :func:`load_artifacts` verifies every array file against them
-  before reassembly (``verify=False`` skips, for benchmarks that measure
-  pure open cost), so a flipped bit on disk surfaces as
-  :class:`~repro.exceptions.ArtifactIntegrityError` at load time instead
-  of as silently wrong scores; :class:`repro.store.ArtifactStore`
-  quarantines such generations and rolls back.
-- **v3** (directory): raw ``.npy`` per array + ``manifest.json``,
-  designed for ``np.load(mmap_mode="r")``.  Index arrays keep their
-  in-memory dtype (typically ``int32``) so scipy reuses the mapped buffers
-  instead of copying.  Stores the real hub-and-spoke ordering.  Still
-  loadable; with no stored checksums verification is skipped.
-- **v2** (``.npz``): drops the ``H11`` block.  Algorithm 3's output list
-  and the query phase only ever use the *inverted factors* ``L1^{-1}`` /
-  ``U1^{-1}``, so storing ``H11`` was pure file bloat scaling with the
-  biggest spoke block.  Archives written since the ``hubspoke_order``
-  field also carry the real hub-and-spoke ordering; on older archives the
-  loaded partition reports ``permutation=None`` rather than inventing one.
-- **v1** (``.npz``): stored all six ``H`` blocks including ``H11``.  Still
-  loadable; the stored ``H11`` is simply ignored.
-
-:func:`load_solver` reads all three through one entry point: pass either
-an archive path (``.npz`` suffix optional) or an artifact directory.
+:func:`load_solver` turns an artifact directory, or the current generation
+of a store root, back into a query-ready solver.
 """
 
 from __future__ import annotations
@@ -75,54 +56,14 @@ from repro.reorder.permutation import Permutation
 
 PathLike = Union[str, os.PathLike]
 
-_FORMAT_VERSION = 2
 _ARTIFACT_FORMAT_VERSION = 4
-
-#: Directory-format versions ``load_artifacts`` accepts.  v3 predates the
-#: per-array checksums; its arrays load unverified.
-_SUPPORTED_ARTIFACT_VERSIONS = (3, 4)
-
-#: Versions ``load_solver`` accepts for ``.npz`` archives.  v1 archives
-#: additionally contain the (unused) ``H11`` block; it is ignored on load.
-_NPZ_FORMAT_VERSIONS = (1, 2)
 
 #: Blocks the query phase (Algorithm 4) actually reads; ``H11`` is covered
 #: by its inverted LU factors and is deliberately not persisted.
 _STORED_BLOCKS = ("H12", "H21", "H22", "H31", "H32")
 
-#: CSR matrices every artifact directory contains, beyond the ``H`` blocks.
-_CSR_MATRICES = ("adjacency", "L1_inv", "U1_inv", "S") + _STORED_BLOCKS
-
 _MANIFEST_NAME = "manifest.json"
 _ARRAYS_DIR = "arrays"
-
-
-def _normalize_npz_path(path: PathLike) -> Path:
-    """The path ``np.savez_compressed`` actually writes to.
-
-    numpy silently appends ``.npz`` when the suffix is missing, which used
-    to leave ``save_solver(s, "model")`` and ``load_solver("model")``
-    disagreeing about the file name.  Both directions now normalize here.
-    """
-    p = Path(path)
-    if p.suffix != ".npz":
-        p = p.with_name(p.name + ".npz")
-    return p
-
-
-def _pack_csr(arrays: dict, name: str, matrix: sp.spmatrix) -> None:
-    csr = sp.csr_matrix(matrix)
-    arrays[f"{name}_data"] = csr.data
-    arrays[f"{name}_indices"] = csr.indices
-    arrays[f"{name}_indptr"] = csr.indptr
-    arrays[f"{name}_shape"] = np.asarray(csr.shape, dtype=np.int64)
-
-
-def _unpack_csr(archive, name: str) -> sp.csr_matrix:
-    return sp.csr_matrix(
-        (archive[f"{name}_data"], archive[f"{name}_indices"], archive[f"{name}_indptr"]),
-        shape=tuple(archive[f"{name}_shape"]),
-    )
 
 
 def _preconditioner_kind(preconditioner: Any) -> str:
@@ -161,149 +102,6 @@ def _require_bepi_bundle(source: Union[BePI, SolverArtifacts]) -> SolverArtifact
     return bundle
 
 
-# ----------------------------------------------------------------------
-# v2: single compressed .npz archive
-# ----------------------------------------------------------------------
-def save_solver(solver: BePI, path: PathLike) -> Path:
-    """Serialize a preprocessed BePI solver to ``path`` (``.npz``).
-
-    A missing ``.npz`` suffix is appended (numpy would do so silently
-    anyway); the actual file path is returned so callers can hand it to
-    :func:`load_solver` verbatim.
-
-    Raises
-    ------
-    NotPreprocessedError
-        If the solver has not been preprocessed.
-    """
-    bundle = _require_bepi_bundle(solver)
-    artifacts = bundle.preprocess
-    target = _normalize_npz_path(path)
-
-    meta = {
-        "format_version": _FORMAT_VERSION,
-        "c": solver.c,
-        "tol": solver.tol,
-        "hub_ratio": solver.stats.get("hub_ratio"),
-        "use_preconditioner": solver.use_preconditioner,
-        "ilu_engine": solver.ilu_engine,
-        "iterative_method": solver.iterative_method,
-        "n1": artifacts.n1,
-        "n2": artifacts.n2,
-        "n3": artifacts.n3,
-        "slashburn_iterations": artifacts.hubspoke.slashburn_iterations,
-        "preconditioner_kind": _preconditioner_kind(bundle.preconditioner),
-    }
-
-    arrays: dict = {
-        "meta_json": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-        "permutation_order": artifacts.permutation.order,
-        "block_sizes": artifacts.block_sizes,
-    }
-    if artifacts.hubspoke.permutation is not None:
-        arrays["hubspoke_order"] = artifacts.hubspoke.permutation.order
-    _pack_csr(arrays, "adjacency", bundle.graph.adjacency)
-    _pack_csr(arrays, "L1_inv", artifacts.h11_factors.l_inv)
-    _pack_csr(arrays, "U1_inv", artifacts.h11_factors.u_inv)
-    _pack_csr(arrays, "S", artifacts.schur)
-    for block in _STORED_BLOCKS:
-        _pack_csr(arrays, block, artifacts.blocks[block])
-    if isinstance(bundle.preconditioner, ILUFactors):
-        _pack_csr(arrays, "L2", bundle.preconditioner.l)
-        _pack_csr(arrays, "U2", bundle.preconditioner.u)
-        arrays.update(_ilu_permutations(bundle.preconditioner))
-    elif isinstance(bundle.preconditioner, JacobiPreconditioner):
-        arrays["M_diag"] = bundle.preconditioner.inverse_diagonal
-
-    np.savez_compressed(target, **arrays)
-    return target
-
-
-def _load_npz_bundle(path: Path) -> SolverArtifacts:
-    """Read a v1/v2 ``.npz`` archive into an in-memory artifact bundle."""
-    with np.load(path) as archive:
-        try:
-            meta = json.loads(bytes(archive["meta_json"]).decode())
-        except KeyError as exc:
-            raise GraphFormatError(f"{path}: not a saved BePI solver") from exc
-        if meta.get("format_version") not in _NPZ_FORMAT_VERSIONS:
-            raise GraphFormatError(
-                f"{path}: unsupported format version {meta.get('format_version')}"
-            )
-
-        graph = Graph(_unpack_csr(archive, "adjacency"))
-        # v1 archives also carry "H11"; nothing downstream reads it, so the
-        # reconstructed blocks exclude it for both versions.
-        blocks = {name: _unpack_csr(archive, name) for name in _STORED_BLOCKS}
-        block_sizes = archive["block_sizes"]
-        h11_factors = BlockDiagonalLU(
-            l_inv=_unpack_csr(archive, "L1_inv"),
-            u_inv=_unpack_csr(archive, "U1_inv"),
-            block_sizes=block_sizes,
-        )
-        schur = _unpack_csr(archive, "S")
-        # Archives written before the hubspoke_order field never stored the
-        # hub-and-spoke ordering; report it as unavailable rather than
-        # fabricating an identity.
-        hubspoke_permutation = (
-            Permutation(archive["hubspoke_order"])
-            if "hubspoke_order" in archive.files
-            else None
-        )
-        hubspoke = HubSpokePartition(
-            permutation=hubspoke_permutation,
-            n_spokes=meta["n1"],
-            n_hubs=meta["n2"],
-            block_sizes=block_sizes,
-            slashburn_iterations=meta["slashburn_iterations"],
-            hub_ratio=meta["hub_ratio"],
-        )
-        artifacts = PreprocessArtifacts(
-            permutation=Permutation(archive["permutation_order"]),
-            n1=meta["n1"],
-            n2=meta["n2"],
-            n3=meta["n3"],
-            block_sizes=block_sizes,
-            blocks=blocks,
-            h11_factors=h11_factors,
-            schur=schur,
-            hubspoke=hubspoke,
-        )
-
-        preconditioner = None
-        if meta["preconditioner_kind"] == "ilu":
-            preconditioner = ILUFactors(
-                l=_unpack_csr(archive, "L2"),
-                u=_unpack_csr(archive, "U2"),
-                **{name: archive[name] for name in _ILU_PERMUTATIONS if name in archive.files},
-            )
-        elif meta["preconditioner_kind"] == "jacobi":
-            preconditioner = JacobiPreconditioner.from_inverse_diagonal(
-                archive["M_diag"]
-            )
-
-    config = {
-        "c": meta["c"],
-        "tol": meta["tol"],
-        "iterative_method": meta["iterative_method"],
-        "gmres_restart": None,
-        "max_iterations": None,
-        "hub_ratio": meta["hub_ratio"],
-        "use_preconditioner": meta["use_preconditioner"],
-        "ilu_engine": meta["ilu_engine"],
-    }
-    return SolverArtifacts(
-        kind="bepi",
-        config=config,
-        graph=graph,
-        preprocess=artifacts,
-        preconditioner=preconditioner,
-    )
-
-
-# ----------------------------------------------------------------------
-# v4: artifact directory for zero-copy mmap serving
-# ----------------------------------------------------------------------
 def _sha256_file(path: Path) -> str:
     """Streaming SHA-256 of a file (arrays can be larger than RAM)."""
     digest = hashlib.sha256()
@@ -314,10 +112,9 @@ def _sha256_file(path: Path) -> str:
 
 
 def verify_artifacts(directory: PathLike) -> int:
-    """Check every checksummed array file in an artifact directory.
+    """Check every array file an artifact directory's manifest names.
 
-    Returns the number of files verified (0 for a v3 directory, which
-    stores no checksums).
+    Returns the number of files verified.
 
     Raises
     ------
@@ -327,7 +124,7 @@ def verify_artifacts(directory: PathLike) -> int:
     """
     root = Path(directory)
     manifest = _read_manifest(root)
-    checksums: Dict[str, str] = manifest.get("checksums", {})
+    checksums: Dict[str, str] = manifest["checksums"]
     arrays_dir = root / _ARRAYS_DIR
     for filename in sorted(checksums):
         target = arrays_dir / filename
@@ -375,12 +172,6 @@ def save_artifacts(
     """
     bundle = _require_bepi_bundle(source)
     artifacts = bundle.preprocess
-    if artifacts.hubspoke.permutation is None:
-        raise GraphFormatError(
-            "artifact bundle is missing the hub-and-spoke ordering "
-            "(loaded from a pre-hubspoke_order archive?); rebuild from the "
-            "graph before exporting to the v3 format"
-        )
 
     root = Path(directory)
     arrays_dir = root / _ARRAYS_DIR
@@ -446,8 +237,11 @@ def _read_manifest(directory: Path) -> Dict[str, Any]:
     manifest_path = directory / _MANIFEST_NAME
     if not manifest_path.is_file():
         raise GraphFormatError(f"{directory}: not an artifact directory (no manifest)")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format_version") not in _SUPPORTED_ARTIFACT_VERSIONS:
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:
+        raise GraphFormatError(f"{directory}: unreadable manifest ({exc})") from exc
+    if manifest.get("format_version") != _ARTIFACT_FORMAT_VERSION:
         raise GraphFormatError(
             f"{directory}: unsupported artifact format version "
             f"{manifest.get('format_version')}"
@@ -480,9 +274,9 @@ def load_artifacts(
 
     With ``verify=True`` (default) every array file is hashed against the
     manifest's SHA-256 checksums before reassembly and a mismatch raises
-    :class:`ArtifactIntegrityError`; v3 directories carry no checksums and
-    load unverified.  Pass ``verify=False`` when measuring pure open cost —
-    verification reads every byte, which defeats mmap laziness.
+    :class:`ArtifactIntegrityError`.  Pass ``verify=False`` when measuring
+    pure open cost — verification reads every byte, which defeats mmap
+    laziness.
     """
     root = Path(directory)
     manifest = _read_manifest(root)
@@ -535,10 +329,12 @@ def load_artifacts(
         preconditioner = ILUFactors(
             l=read_csr("L2"),
             u=read_csr("U2"),
+            # Only arrays this manifest names: saving into an existing
+            # directory can leave another save's permutations behind.
             **{
                 name: read(name)
                 for name in _ILU_PERMUTATIONS
-                if (arrays_dir / f"{name}.npy").is_file()
+                if f"{name}.npy" in manifest["checksums"]
             },
         )
     elif manifest["preconditioner_kind"] == "jacobi":
@@ -562,7 +358,7 @@ def artifact_nbytes(directory: PathLike) -> int:
 
 
 # ----------------------------------------------------------------------
-# Unified loading
+# Solvers from bundles
 # ----------------------------------------------------------------------
 def solver_from_config(config: Dict[str, Any]) -> BePI:
     """A fresh (un-preprocessed) BePI matching an artifact bundle's config.
@@ -612,35 +408,21 @@ def solver_from_bundle(bundle: SolverArtifacts, source: str) -> BePI:
     return solver
 
 
-def _resolve_archive_path(path: PathLike) -> Path:
-    """Accept saved-solver paths with or without the ``.npz`` suffix."""
-    given = Path(path)
-    if given.is_file():
-        return given
-    normalized = _normalize_npz_path(given)
-    if normalized.is_file():
-        return normalized
-    raise GraphFormatError(f"{path}: no such saved solver")
-
-
 def load_solver(path: PathLike, mmap: bool = True, verify: bool = True) -> BePI:
-    """Load a solver saved by :func:`save_solver` or :func:`save_artifacts`.
+    """Load a solver from an artifact directory or a store root.
 
-    ``path`` may be a ``.npz`` archive (suffix optional; formats v1/v2) or
-    an artifact directory (formats v3/v4, opened with ``mmap`` and
-    ``verify`` as in :func:`load_artifacts`).  Either way the result is a
-    query-ready :class:`~repro.core.bepi.BePI` in the same state
-    ``preprocess`` leaves.
+    A directory is opened as in :func:`load_artifacts`; a store root
+    through :meth:`repro.store.ArtifactStore.open_current`, so a corrupt
+    current generation is quarantined and the last good one loaded
+    instead.  Either way the result is a query-ready
+    :class:`~repro.core.bepi.BePI` in the same state ``preprocess`` leaves.
 
     Raises
     ------
     GraphFormatError
-        If the path does not look like a saved solver or its version is
-        unsupported.
+        If the path is neither, or its format version is unsupported.
     """
-    given = Path(path)
-    if given.is_dir():
-        bundle = load_artifacts(given, mmap=mmap, verify=verify)
-    else:
-        bundle = _load_npz_bundle(_resolve_archive_path(given))
+    from repro.store import open_artifacts  # repro.store imports this module
+
+    bundle = open_artifacts(path, mmap=mmap, verify=verify)
     return solver_from_bundle(bundle, str(path))

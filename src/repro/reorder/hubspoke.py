@@ -34,9 +34,6 @@ class HubSpokePartition:
     ----------
     permutation:
         Orders spokes first (grouped into connected blocks), hubs last.
-        ``None`` on partitions reconstructed from a saved archive that
-        predates the ``hubspoke_order`` field — the ordering was never
-        stored, and pretending with an identity would silently lie.
     n_spokes:
         ``n1`` in the paper.
     n_hubs:
@@ -49,7 +46,7 @@ class HubSpokePartition:
         The ``k`` used for hub selection.
     """
 
-    permutation: Optional[Permutation]
+    permutation: Permutation
     n_spokes: int
     n_hubs: int
     block_sizes: np.ndarray

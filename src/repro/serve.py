@@ -5,14 +5,14 @@ with :func:`repro.persistence.save_artifacts`, any number of worker
 processes can serve Algorithm 4 queries against the *same* on-disk bundle.
 Each worker opens the directory with ``mmap_mode="r"``, so
 
-- startup is near-instant (no decompression, nothing is read until the
-  first query touches it),
+- opening maps the arrays instead of copying them (past checksum
+  verification, nothing is read until the first query touches it),
 - the matrices live in the OS page cache **once**, shared by every worker
-  on the machine, instead of once per process as with the ``.npz`` format,
+  on the machine, instead of once per process as with an eager load,
 - the mappings are read-only, so no worker can corrupt another's state.
 
 :func:`open_query_engine` is the single-process entry point (give it an
-artifact directory, a store root, or a ``.npz`` archive);
+artifact directory or a store root);
 :class:`WorkerPool` manages a set of worker processes answering
 ``query_many`` batches over task queues, and is what
 ``repro-cli serve`` and the serving benchmark build on.
@@ -45,8 +45,8 @@ from repro.core.engine import (
 from repro.core.topk import TopKResult, from_pairs, to_pairs, validate_k
 from repro.exceptions import GraphFormatError, InvalidParameterError
 from repro.faults import FaultPlan
-from repro.persistence import PathLike, load_artifacts
-from repro.store import ArtifactStore
+from repro.persistence import PathLike
+from repro.store import ArtifactStore, open_artifacts
 from repro.telemetry import MetricsRegistry
 
 #: Seconds a pool waits for a worker reply before giving up.
@@ -247,19 +247,11 @@ def open_query_engine(
 
     This is what a serving worker calls: no solver object, no
     re-preprocessing — just the Algorithm 4 executor over memory-mapped
-    matrices.  When ``path`` is a store root, opening goes through
-    :meth:`~repro.store.ArtifactStore.open_current`, so a generation whose
-    checksums fail is quarantined and the last good generation is served
-    instead; a bare artifact directory has nothing to roll back to, so
-    corruption there surfaces as
-    :class:`~repro.exceptions.ArtifactIntegrityError`.
+    matrices.  Opening goes through :func:`repro.store.open_artifacts`, so
+    a corrupt current generation of a store root is quarantined and the
+    last good generation is served instead.
     """
-    p = Path(path)
-    if not (p / "manifest.json").is_file() and (p / "generations").is_dir():
-        bundle = ArtifactStore(p).open_current(mmap=mmap, verify=verify)
-    else:
-        bundle = load_artifacts(resolve_artifact_path(p), mmap=mmap, verify=verify)
-    return engine_for_bundle(bundle)
+    return engine_for_bundle(open_artifacts(path, mmap=mmap, verify=verify))
 
 
 # ----------------------------------------------------------------------

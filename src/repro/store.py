@@ -13,7 +13,7 @@ A serving deployment needs two things the raw artifact directory
 
     <root>/
         generations/
-            gen-000001/        complete artifact directory (format v3)
+            gen-000001/        complete artifact directory (format v4)
             gen-000002/
         current -> generations/gen-000002
 
@@ -403,6 +403,22 @@ class ArtifactStore:
             f"generations={len(self.generations())}, "
             f"current={current.name if current else None})"
         )
+
+
+def open_artifacts(
+    path: PathLike, mmap: bool = True, verify: bool = True
+) -> SolverArtifacts:
+    """Load an artifact directory, or the current generation of a store root.
+
+    A store root opens through :meth:`ArtifactStore.open_current`, so a
+    generation whose checksums fail is quarantined and the last good one
+    loaded instead; a bare artifact directory has nothing to roll back to,
+    so corruption there raises :class:`ArtifactIntegrityError`.
+    """
+    p = Path(path)
+    if not (p / "manifest.json").is_file() and (p / _GENERATIONS_DIR).is_dir():
+        return ArtifactStore(p).open_current(mmap=mmap, verify=verify)
+    return load_artifacts(p, mmap=mmap, verify=verify)
 
 
 def _pid_alive(pid: int) -> bool:

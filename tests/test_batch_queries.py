@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import warnings
 
 import numpy as np
@@ -163,27 +164,29 @@ class TestWorkspaceGrowth:
         with pytest.raises(InvalidParameterError, match="gmres_multi"):
             gmres(dd_matrix, np.ones((dd_matrix.shape[0], 2)))
 
-    @pytest.mark.parametrize("mode", ["block", "sequential"])
-    def test_gmres_multi_engines_match_single(self, dd_matrix, mode):
+    @pytest.mark.parametrize("engine", ["block", "sequential"])
+    def test_gmres_multi_engines_match_single(self, dd_matrix, engine, monkeypatch):
+        """A matrix operator takes the lockstep block engine; a bare callable
+        cannot be assumed to accept blocks and runs column by column."""
+        gmres_module = importlib.import_module("repro.linalg.gmres")
+        block_calls = []
+        run_block = gmres_module._run_gmres_block
+
+        def spy(*args, **kwargs):
+            block_calls.append(1)
+            return run_block(*args, **kwargs)
+
+        monkeypatch.setattr(gmres_module, "_run_gmres_block", spy)
+        operator = dd_matrix if engine == "block" else (lambda v: dd_matrix @ v)
         rng = np.random.default_rng(11)
         n = dd_matrix.shape[0]
         block = rng.standard_normal((n, 4))
-        batch = gmres_multi(dd_matrix, block, tol=1e-12, mode=mode)
+        batch = gmres_multi(operator, block, tol=1e-12)
+        assert len(block_calls) == (1 if engine == "block" else 0)
         assert batch.all_converged
         for j in range(4):
             single = gmres(dd_matrix, block[:, j].copy(), tol=1e-12)
             np.testing.assert_allclose(batch.x[:, j], single.x, atol=1e-12, rtol=0)
-
-    def test_gmres_multi_rejects_bad_mode(self, dd_matrix):
-        with pytest.raises(InvalidParameterError, match="mode"):
-            gmres_multi(dd_matrix, np.ones((dd_matrix.shape[0], 2)), mode="parallel")
-
-    def test_gmres_multi_block_mode_rejects_callable_operator(self, dd_matrix):
-        def matvec(v):
-            return dd_matrix @ v
-
-        with pytest.raises(InvalidParameterError, match="block"):
-            gmres_multi(matvec, np.ones((dd_matrix.shape[0], 2)), mode="block")
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Tests for the command-line interface."""
 
-import numpy as np
 import pytest
 
 from repro import generate_rmat, save_edge_list
 from repro.cli import main
+from repro.persistence import load_solver
 
 
 @pytest.fixture()
@@ -24,9 +24,11 @@ class TestStats:
 
 
 class TestPreprocessAndQuery:
+    """``repro build`` preprocesses once; ``repro query`` serves from it."""
+
     def test_roundtrip(self, graph_file, tmp_path, capsys):
-        solver_path = str(tmp_path / "solver.npz")
-        assert main(["preprocess", graph_file, "-o", solver_path]) == 0
+        solver_path = str(tmp_path / "artifacts")
+        assert main(["build", graph_file, "-o", solver_path]) == 0
         out = capsys.readouterr().out
         assert "preprocessed" in out
 
@@ -42,8 +44,8 @@ class TestPreprocessAndQuery:
         assert "top 5 nodes" in out
 
     def test_query_matches_between_paths(self, graph_file, tmp_path, capsys):
-        solver_path = str(tmp_path / "solver.npz")
-        main(["preprocess", graph_file, "-o", solver_path])
+        solver_path = str(tmp_path / "artifacts")
+        main(["build", graph_file, "-o", solver_path])
         capsys.readouterr()
         main(["query", graph_file, "--seed", "2"])
         direct = capsys.readouterr().out.splitlines()[-10:]
@@ -51,15 +53,25 @@ class TestPreprocessAndQuery:
         loaded = capsys.readouterr().out.splitlines()[-10:]
         assert direct == loaded
 
+    def test_query_opens_store_root(self, graph_file, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        assert main(["build", graph_file, "-o", store, "--store"]) == 0
+        capsys.readouterr()
+        main(["query", graph_file, "--seed", "1"])
+        direct = capsys.readouterr().out.splitlines()[-10:]
+        assert main(["query", store, "--seed", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[-10:] == direct
+
     def test_preprocess_rejects_non_bepi(self, graph_file, tmp_path, capsys):
-        code = main(["preprocess", graph_file, "-o", str(tmp_path / "x.npz"),
+        code = main(["build", graph_file, "-o", str(tmp_path / "x"),
                      "--method", "power"])
         assert code == 2
 
     def test_hub_ratio_option(self, graph_file, tmp_path, capsys):
-        solver_path = str(tmp_path / "solver.npz")
-        assert main(["preprocess", graph_file, "-o", solver_path,
+        solver_path = str(tmp_path / "artifacts")
+        assert main(["build", graph_file, "-o", solver_path,
                      "--hub-ratio", "0.3"]) == 0
+        assert load_solver(solver_path).stats["hub_ratio"] == 0.3
 
 
 class TestCompare:

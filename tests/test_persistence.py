@@ -1,7 +1,6 @@
 """Tests for saving / loading preprocessed solvers."""
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,151 +12,101 @@ from repro.persistence import (
     load_artifacts,
     load_solver,
     save_artifacts,
-    save_solver,
     verify_artifacts,
 )
 
 from .conftest import exact_rwr
 
-FIXTURE_DIR = Path(__file__).parent / "fixtures"
-
 
 class TestRoundtrip:
     def test_loaded_solver_matches_original(self, medium_graph, tmp_path):
-        path = tmp_path / "solver.npz"
+        path = tmp_path / "artifacts"
         original = BePI(tol=1e-11).preprocess(medium_graph)
-        save_solver(original, path)
+        save_artifacts(original, path)
         loaded = load_solver(path)
         for seed in (0, 7, 100):
             assert np.allclose(loaded.query(seed), original.query(seed), atol=1e-12)
 
     def test_loaded_solver_is_exact(self, small_graph, tmp_path):
-        path = tmp_path / "solver.npz"
-        save_solver(BePI(tol=1e-12).preprocess(small_graph), path)
+        path = tmp_path / "artifacts"
+        save_artifacts(BePI(tol=1e-12).preprocess(small_graph), path)
         loaded = load_solver(path)
         assert np.allclose(loaded.query(1), exact_rwr(small_graph, 0.05, 1), atol=1e-8)
 
     def test_configuration_preserved(self, small_graph, tmp_path):
-        path = tmp_path / "solver.npz"
+        path = tmp_path / "artifacts"
         original = BePI(c=0.15, tol=1e-7, hub_ratio=0.3).preprocess(small_graph)
-        save_solver(original, path)
+        save_artifacts(original, path)
         loaded = load_solver(path)
         assert loaded.c == 0.15
         assert loaded.tol == 1e-7
         assert loaded.stats["hub_ratio"] == 0.3
 
     def test_stats_reconstructed(self, small_graph, tmp_path):
-        path = tmp_path / "solver.npz"
+        path = tmp_path / "artifacts"
         original = BePI().preprocess(small_graph)
-        save_solver(original, path)
+        save_artifacts(original, path)
         loaded = load_solver(path)
         for key in ("n1", "n2", "n3", "nnz_schur"):
             assert loaded.stats[key] == original.stats[key]
         assert loaded.memory_bytes() == original.memory_bytes()
 
     def test_unpreconditioned_variant(self, small_graph, tmp_path):
-        path = tmp_path / "solver.npz"
+        path = tmp_path / "artifacts"
         original = BePIS(tol=1e-11).preprocess(small_graph)
-        save_solver(original, path)
+        save_artifacts(original, path)
         loaded = load_solver(path)
         assert loaded.ilu_factors is None
         assert np.allclose(loaded.query(0), original.query(0), atol=1e-12)
 
     def test_jacobi_variant(self, small_graph, tmp_path):
-        path = tmp_path / "solver.npz"
+        path = tmp_path / "artifacts"
         original = BePI(ilu_engine="jacobi", tol=1e-11).preprocess(small_graph)
-        save_solver(original, path)
+        save_artifacts(original, path)
         loaded = load_solver(path)
         assert np.allclose(loaded.query(2), original.query(2), atol=1e-12)
 
     def test_graph_available_after_load(self, small_graph, tmp_path):
-        path = tmp_path / "solver.npz"
-        save_solver(BePI().preprocess(small_graph), path)
+        path = tmp_path / "artifacts"
+        save_artifacts(BePI().preprocess(small_graph), path)
         loaded = load_solver(path)
         assert loaded.graph == small_graph
 
     def test_applications_work_on_loaded_solver(self, medium_graph, tmp_path):
         from repro.applications import top_k
 
-        path = tmp_path / "solver.npz"
+        path = tmp_path / "artifacts"
         original = BePI(tol=1e-10).preprocess(medium_graph)
-        save_solver(original, path)
+        save_artifacts(original, path)
         loaded = load_solver(path)
         assert top_k(loaded, 0, 5) == top_k(original, 0, 5)
 
 
 class TestFormatVersions:
-    def test_v2_archive_omits_h11(self, medium_graph, tmp_path):
-        """The current format stores only the inverted factors, not H11."""
-        path = tmp_path / "solver.npz"
-        save_solver(BePI().preprocess(medium_graph), path)
-        with np.load(path) as archive:
-            names = set(archive.files)
+    """Format v4 stores Algorithm 3's output list — the inverted factors of
+    ``H11``, never ``H11`` itself — and is the only version that loads."""
+
+    def test_artifacts_omit_h11(self, medium_graph, tmp_path):
+        save_artifacts(BePI().preprocess(medium_graph), tmp_path / "artifacts")
+        names = {f.name for f in (tmp_path / "artifacts" / "arrays").iterdir()}
         assert not any(name.startswith("H11") for name in names)
-        assert {"L1_inv_data", "U1_inv_data", "H12_data", "H21_data"} <= names
+        assert {"L1_inv.data.npy", "U1_inv.data.npy", "H12.data.npy",
+                "H21.data.npy"} <= names
 
     def test_loaded_blocks_lack_h11(self, small_graph, tmp_path):
-        path = tmp_path / "solver.npz"
-        save_solver(BePI().preprocess(small_graph), path)
+        path = tmp_path / "artifacts"
+        save_artifacts(BePI().preprocess(small_graph), path)
         loaded = load_solver(path)
         assert "H11" not in loaded.artifacts.blocks
         assert set(loaded.artifacts.blocks) == {"H12", "H21", "H22", "H31", "H32"}
-
-    def test_v1_archive_still_loads(self, medium_graph, tmp_path):
-        """A v1 archive (with H11, format_version=1) loads transparently."""
-        import json
-
-        import scipy.sparse as sp
-
-        original = BePI(tol=1e-11).preprocess(medium_graph)
-        v2_path = tmp_path / "v2.npz"
-        save_solver(original, v2_path)
-
-        # Rewrite as a faithful v1 archive: add the H11 arrays back and
-        # stamp the old version number.
-        with np.load(v2_path) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        meta = json.loads(bytes(arrays["meta_json"]).decode())
-        meta["format_version"] = 1
-        arrays["meta_json"] = np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8
-        )
-        h11 = sp.csr_matrix(original.artifacts.blocks["H11"])
-        arrays["H11_data"] = h11.data
-        arrays["H11_indices"] = h11.indices
-        arrays["H11_indptr"] = h11.indptr
-        arrays["H11_shape"] = np.asarray(h11.shape, dtype=np.int64)
-        v1_path = tmp_path / "v1.npz"
-        np.savez_compressed(v1_path, **arrays)
-
-        loaded = load_solver(v1_path)
-        for seed in (0, 7):
-            assert np.allclose(loaded.query(seed), original.query(seed), atol=1e-12)
-
-    def test_future_version_rejected(self, small_graph, tmp_path):
-        import json
-
-        path = tmp_path / "solver.npz"
-        save_solver(BePI().preprocess(small_graph), path)
-        with np.load(path) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        meta = json.loads(bytes(arrays["meta_json"]).decode())
-        meta["format_version"] = 99
-        arrays["meta_json"] = np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8
-        )
-        future_path = tmp_path / "future.npz"
-        np.savez_compressed(future_path, **arrays)
-        with pytest.raises(GraphFormatError):
-            load_solver(future_path)
 
     def test_accuracy_bound_works_without_h11(self, medium_graph, tmp_path):
         """Theorem 4 ingredients are computable on a loaded (H11-less) solver."""
         from repro import accuracy_bound
 
-        path = tmp_path / "solver.npz"
+        path = tmp_path / "artifacts"
         original = BePI(tol=1e-11).preprocess(medium_graph)
-        save_solver(original, path)
+        save_artifacts(original, path)
         loaded = load_solver(path)
         bound_fresh = accuracy_bound(original, 0)
         bound_loaded = accuracy_bound(loaded, 0)
@@ -169,28 +118,19 @@ class TestFormatVersions:
         )
 
 
-class TestSuffixNormalization:
-    """save/load agree on the file name whether or not .npz is given."""
-
-    def test_save_without_suffix_load_without_suffix(self, small_graph, tmp_path):
-        original = BePI(tol=1e-11).preprocess(small_graph)
-        written = save_solver(original, tmp_path / "model")
-        assert written == tmp_path / "model.npz"
-        assert written.is_file()
-        loaded = load_solver(tmp_path / "model")
-        assert np.array_equal(loaded.query(0), original.query(0))
-
-    def test_save_without_suffix_load_with_suffix(self, small_graph, tmp_path):
-        save_solver(BePI().preprocess(small_graph), tmp_path / "model")
-        assert load_solver(tmp_path / "model.npz").is_preprocessed
-
-    def test_save_with_suffix_load_without_suffix(self, small_graph, tmp_path):
-        save_solver(BePI().preprocess(small_graph), tmp_path / "model.npz")
-        assert load_solver(tmp_path / "model").is_preprocessed
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(GraphFormatError, match="no such saved solver"):
-            load_solver(tmp_path / "absent")
+    def test_v3_manifest_rejected(self, small_graph, tmp_path):
+        """Only format v4 loads; a pre-checksum v3 manifest is refused by
+        version rather than loaded unverified."""
+        save_artifacts(BePI().preprocess(small_graph), tmp_path / "artifacts")
+        manifest_path = tmp_path / "artifacts" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 3
+        del manifest["checksums"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(GraphFormatError, match="format version 3"):
+            load_solver(tmp_path / "artifacts")
+        with pytest.raises(GraphFormatError, match="format version 3"):
+            verify_artifacts(tmp_path / "artifacts")
 
 
 class TestHubspokePermutation:
@@ -198,34 +138,17 @@ class TestHubspokePermutation:
         """The loaded partition carries the actual hub-and-spoke ordering,
         not a fabricated identity."""
         original = BePI().preprocess(small_graph)
-        save_solver(original, tmp_path / "solver.npz")
-        loaded = load_solver(tmp_path / "solver.npz")
+        save_artifacts(original, tmp_path / "artifacts")
+        loaded = load_solver(tmp_path / "artifacts")
         fresh = original.artifacts.hubspoke.permutation
         assert not np.array_equal(fresh.order, np.arange(len(fresh)))
         assert np.array_equal(
             loaded.artifacts.hubspoke.permutation.order, fresh.order
         )
 
-    def test_legacy_archive_reports_permutation_unavailable(
-        self, small_graph, tmp_path
-    ):
-        """Pre-hubspoke_order archives load with permutation=None instead of
-        silently lying with an identity."""
-        save_solver(BePI().preprocess(small_graph), tmp_path / "solver.npz")
-        with np.load(tmp_path / "solver.npz") as archive:
-            arrays = {
-                name: archive[name]
-                for name in archive.files
-                if name != "hubspoke_order"
-            }
-        np.savez_compressed(tmp_path / "legacy.npz", **arrays)
-        loaded = load_solver(tmp_path / "legacy.npz")
-        assert loaded.artifacts.hubspoke.permutation is None
-        assert np.array_equal(loaded.query(0), load_solver(tmp_path / "solver.npz").query(0))
-
 
 class TestArtifactDirectory:
-    """Format v3: directory of raw .npy files, loaded zero-copy via mmap."""
+    """Directory of raw .npy files, loaded zero-copy via mmap."""
 
     @pytest.mark.parametrize(
         "make_solver",
@@ -314,15 +237,14 @@ class TestArtifactDirectory:
 
 
 class TestSpiluRoundtrip:
-    """SuperLU's row and column permutations survive both formats."""
+    """SuperLU's row and column permutations survive a round trip."""
 
     @pytest.fixture(scope="class")
     def spilu_solver(self):
         return BePI(ilu_engine="spilu", tol=1e-10).preprocess(generate_rmat(11, 12000, seed=3))
 
-    @pytest.mark.parametrize("save", [save_solver, save_artifacts], ids=["npz", "directory"])
-    def test_preconditioner_and_iterations_survive(self, spilu_solver, tmp_path, save):
-        loaded = load_solver(save(spilu_solver, tmp_path / "saved"))
+    def test_preconditioner_and_iterations_survive(self, spilu_solver, tmp_path):
+        loaded = load_solver(save_artifacts(spilu_solver, tmp_path / "saved"))
         original_m = spilu_solver.solver_artifacts.preconditioner
         loaded_m = loaded.solver_artifacts.preconditioner
         assert loaded_m.perm_r is not None and loaded_m.perm_c is not None
@@ -341,6 +263,24 @@ class TestSpiluRoundtrip:
         save_artifacts(BePI().preprocess(small_graph), tmp_path / "artifacts")
         names = {p.name for p in (tmp_path / "artifacts" / "arrays").iterdir()}
         assert not {"perm_r.npy", "perm_c.npy"} & names
+
+    def test_resave_ignores_stale_permutations(self, spilu_solver, tmp_path):
+        """Saving an ILU(0) bundle over a spilu one leaves the old
+        ``perm_*.npy`` files behind; the loader must not apply them."""
+        target = tmp_path / "saved"
+        save_artifacts(spilu_solver, target)
+        ilu0 = BePI(tol=1e-10).preprocess(spilu_solver.graph)
+        save_artifacts(ilu0, target)
+        assert (target / "arrays" / "perm_r.npy").is_file()
+        loaded = load_solver(target)
+        assert loaded.solver_artifacts.preconditioner.perm_r is None
+        assert loaded.solver_artifacts.preconditioner.perm_c is None
+        seeds = [5, 17]
+        assert np.array_equal(
+            loaded.query_many_detailed(seeds).iterations,
+            ilu0.query_many_detailed(seeds).iterations,
+        )
+        assert np.array_equal(loaded.query_many(seeds), ilu0.query_many(seeds))
 
 
 class TestArtifactChecksums:
@@ -378,55 +318,13 @@ class TestArtifactChecksums:
         with pytest.raises(ArtifactIntegrityError, match="missing"):
             verify_artifacts(tmp_path / "artifacts")
 
-    def test_v3_manifest_without_checksums_still_loads(
-        self, small_graph, tmp_path
-    ):
-        original = BePI(tol=1e-11).preprocess(small_graph)
-        save_artifacts(original, tmp_path / "artifacts")
-        manifest_path = tmp_path / "artifacts" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = 3
-        del manifest["checksums"]
-        manifest_path.write_text(json.dumps(manifest))
-        loaded = load_solver(tmp_path / "artifacts")
-        assert np.array_equal(loaded.query_many([0, 3]), original.query_many([0, 3]))
-        # Nothing to verify, nothing to fail on.
-        assert verify_artifacts(tmp_path / "artifacts") == 0
-
-
-class TestFixtureArchives:
-    """Archives written by older releases keep loading byte-for-byte.
-
-    The fixtures are checked-in binaries (see ``fixtures/make_fixtures.py``
-    for their provenance); correctness is judged against the dense oracle
-    on the identical ``small_graph`` recipe rather than against bytes the
-    current writer happens to produce.
-    """
-
-    def test_v1_fixture_loads_and_is_exact(self, small_graph):
-        loaded = load_solver(FIXTURE_DIR / "solver_v1.npz")
-        assert loaded.graph == small_graph
-        assert loaded.artifacts.hubspoke.permutation is None
-        assert np.allclose(
-            loaded.query(1), exact_rwr(small_graph, 0.05, 1), atol=1e-8
-        )
-
-    def test_v2_legacy_fixture_loads_and_is_exact(self, small_graph):
-        loaded = load_solver(FIXTURE_DIR / "solver_v2_legacy.npz")
-        assert loaded.graph == small_graph
-        assert loaded.artifacts.hubspoke.permutation is None
-        assert np.allclose(
-            loaded.query(1), exact_rwr(small_graph, 0.05, 1), atol=1e-8
-        )
-
-
 class TestErrors:
-    def test_save_unpreprocessed_raises(self, tmp_path):
-        with pytest.raises(NotPreprocessedError):
-            save_solver(BePI(), tmp_path / "nope.npz")
+    def test_missing_path_raises(self, tmp_path):
+        with pytest.raises(GraphFormatError, match="no manifest"):
+            load_solver(tmp_path / "absent")
 
     def test_load_garbage_raises(self, tmp_path):
-        path = tmp_path / "garbage.npz"
-        np.savez(path, junk=np.arange(3))
-        with pytest.raises(GraphFormatError):
-            load_solver(path)
+        (tmp_path / "garbage").mkdir()
+        (tmp_path / "garbage" / "manifest.json").write_bytes(b"\x00not json")
+        with pytest.raises(GraphFormatError, match="unreadable manifest"):
+            load_solver(tmp_path / "garbage")

@@ -413,13 +413,20 @@ class TestPartialFrameTimeouts:
 
     def test_async_read_times_out_mid_frame(self):
         async def scenario():
+            handler_done = asyncio.Event()
+
             async def handler(reader, writer):
                 frame = wire.pack_frame(
                     wire.encode_message(wire.StatsRequest()) + b"pad"
                 )
                 writer.write(frame[:5])
                 await writer.drain()
-                await asyncio.sleep(5.0)  # never completes the frame
+                try:
+                    await reader.read()  # never completes the frame
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+                    handler_done.set()
 
             server = await asyncio.start_server(handler, "127.0.0.1", 0)
             host, port = server.sockets[0].getsockname()[:2]
@@ -428,6 +435,8 @@ class TestPartialFrameTimeouts:
                 with pytest.raises(wire.ProtocolError, match="timed out"):
                     await wire.read_message(reader, timeout=0.2)
                 writer.close()
+                await writer.wait_closed()
+                await asyncio.wait_for(handler_done.wait(), timeout=5.0)
 
         asyncio.run(scenario())
 
