@@ -18,7 +18,8 @@ steps cost a handful of numpy operations per step.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import time
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -81,55 +82,62 @@ class MonteCarloSolver(RWRSolver):
         self._indices = adj.indices.astype(np.int64)
         self._out_degrees = np.diff(self._indptr)
 
-    def _query(self, q: np.ndarray) -> Tuple[np.ndarray, int]:
+    def _query_batch(self, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
+        """Simulate ``n_walks`` walks per column, one column at a time."""
         assert self._indptr is not None
-        n = q.shape[0]
-        weights = np.asarray(q, dtype=np.float64)
-        total = weights.sum()
-        if total <= 0:
-            raise InvalidParameterError("starting vector must have positive mass")
-        # Deterministic per (solver seed, q): hash the support into the seed.
-        support = np.flatnonzero(weights)
-        rng = np.random.default_rng(
-            (self.seed, int(support[0]), support.size)
-        )
+        n, k = rhs.shape
+        scores = np.empty((n, k), dtype=np.float64)
+        per_seed = np.zeros(k, dtype=np.float64)
+        for j in range(k):
+            start = time.perf_counter()
+            weights = np.ascontiguousarray(rhs[:, j], dtype=np.float64)
+            total = weights.sum()
+            if total <= 0:
+                raise InvalidParameterError("starting vector must have positive mass")
+            # Deterministic per (solver seed, q): hash the support into the seed.
+            support = np.flatnonzero(weights)
+            rng = np.random.default_rng(
+                (self.seed, int(support[0]), support.size)
+            )
 
-        # Start positions sampled from q (exact for one-hot seeds).
-        starts = rng.choice(n, size=self.n_walks, p=weights / total)
-        current = starts.copy()
-        alive = np.ones(self.n_walks, dtype=bool)
-        endpoint_counts = np.zeros(n, dtype=np.int64)
+            # Start positions sampled from q (exact for one-hot seeds).
+            starts = rng.choice(n, size=self.n_walks, p=weights / total)
+            current = starts.copy()
+            alive = np.ones(self.n_walks, dtype=bool)
+            endpoint_counts = np.zeros(n, dtype=np.int64)
 
-        for _step in range(self.max_steps):
-            if not alive.any():
-                break
-            active = np.flatnonzero(alive)
-            # Stop-and-record with probability c.
-            stops = rng.random(active.size) < self.c
-            stopped_nodes = current[active[stops]]
-            endpoint_counts += np.bincount(stopped_nodes, minlength=n)
-            alive[active[stops]] = False
+            for _step in range(self.max_steps):
+                if not alive.any():
+                    break
+                active = np.flatnonzero(alive)
+                # Stop-and-record with probability c.
+                stops = rng.random(active.size) < self.c
+                stopped_nodes = current[active[stops]]
+                endpoint_counts += np.bincount(stopped_nodes, minlength=n)
+                alive[active[stops]] = False
 
-            movers = active[~stops]
-            if movers.size == 0:
-                continue
-            nodes = current[movers]
-            degrees = self._out_degrees[nodes]
-            # Deadend + no stop -> absorbed (no sample), matching the
-            # linear-system leak.
-            dead = degrees == 0
-            alive[movers[dead]] = False
-            moving = movers[~dead]
-            if moving.size == 0:
-                continue
-            nodes = current[moving]
-            offsets = (rng.random(moving.size) * self._out_degrees[nodes]).astype(np.int64)
-            current[moving] = self._indices[self._indptr[nodes] + offsets]
+                movers = active[~stops]
+                if movers.size == 0:
+                    continue
+                nodes = current[movers]
+                degrees = self._out_degrees[nodes]
+                # Deadend + no stop -> absorbed (no sample), matching the
+                # linear-system leak.
+                dead = degrees == 0
+                alive[movers[dead]] = False
+                moving = movers[~dead]
+                if moving.size == 0:
+                    continue
+                nodes = current[moving]
+                offsets = (rng.random(moving.size) * self._out_degrees[nodes]).astype(np.int64)
+                current[moving] = self._indices[self._indptr[nodes] + offsets]
 
-        # Walks still alive at the horizon carry < 1e-9 of the mass; they
-        # are dropped, a bias far below the Monte-Carlo noise floor.
-        scores = endpoint_counts / self.n_walks
-        return scores, self.max_steps
+            # Walks still alive at the horizon carry < 1e-9 of the mass; they
+            # are dropped, a bias far below the Monte-Carlo noise floor.
+            scores[:, j] = endpoint_counts / self.n_walks
+            per_seed[j] = time.perf_counter() - start
+        iterations = np.full(k, self.max_steps, dtype=np.int64)
+        return scores, iterations, {"per_seed_seconds": per_seed}
 
     def standard_error(self, scores: np.ndarray) -> np.ndarray:
         """Per-entry standard error of a returned score vector."""

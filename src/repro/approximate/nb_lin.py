@@ -17,7 +17,7 @@ low-rank structure, which is the gap BePI closes exactly.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -103,12 +103,13 @@ class NBLinSolver(RWRSolver):
             }
         )
 
-    def _query(self, q: np.ndarray) -> Tuple[np.ndarray, int]:
+    def _query_batch(self, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
+        """Three thin products answer every column of the block at once."""
         assert self._u is not None and self._vt is not None and self._core is not None
         decay = 1.0 - self.c
-        projected = self._vt @ q
-        r = self.c * (q + decay * (self._u @ (self._core @ projected)))
-        return r, 0
+        projected = self._vt @ rhs
+        r = self.c * (rhs + decay * (self._u @ (self._core @ projected)))
+        return r, np.zeros(rhs.shape[1], dtype=np.int64), {}
 
     def approximation_error(self, reference: RWRSolver, seeds) -> float:
         """Mean L2 error of this solver against an exact reference solver.

@@ -124,11 +124,6 @@ class BearSolver(RWRSolver):
             }
         )
 
-    def _query(self, q: np.ndarray) -> Tuple[np.ndarray, int, Dict[str, Any]]:
-        # Lemma 1, evaluated by the stateless engine against the bundle.
-        assert self._engine is not None
-        return self._engine.query_vector(q)
-
     def _query_batch(self, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
         """Lemma 1 on an ``(n, k)`` block: every product becomes a mat-mat."""
         assert self._engine is not None

@@ -58,10 +58,6 @@ class DenseSolver(RWRSolver):
         self._h_inv = np.linalg.inv(h)
         self._retain("H_inv", self._h_inv)
 
-    def _query(self, q: np.ndarray) -> Tuple[np.ndarray, int]:
-        assert self._h_inv is not None
-        return self.c * (self._h_inv @ q), 0
-
     def _query_batch(self, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
         """One dense mat-mat product answers the whole batch."""
         assert self._h_inv is not None

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from repro.core.base import RWRSolver
 from repro.graph.graph import Graph
-from repro.linalg.gmres import gmres, gmres_multi
+from repro.linalg.gmres import gmres_multi
 from repro.linalg.rwr_matrix import build_h_matrix
 
 
@@ -47,17 +47,6 @@ class GMRESSolver(RWRSolver):
         # H itself is the working matrix of the iterative method, not
         # preprocessed data in the paper's accounting.
         self._h = build_h_matrix(graph.adjacency, self.c)
-
-    def _query(self, q: np.ndarray) -> Tuple[np.ndarray, int, Dict[str, Any]]:
-        assert self._h is not None
-        result = gmres(
-            self._h,
-            self.c * q,
-            tol=self.tol,
-            restart=self.restart,
-            max_iterations=self.max_iterations,
-        )
-        return result.x, result.n_iterations, {"converged": result.converged}
 
     def _query_batch(self, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
         """One multi-RHS GMRES call sharing the Krylov workspace across seeds."""

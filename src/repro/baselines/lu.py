@@ -63,10 +63,6 @@ class LUSolver(RWRSolver):
         self._retain("U", self._lu.U)
         self.stats["nnz_factors"] = int(self._lu.L.nnz + self._lu.U.nnz)
 
-    def _query(self, q: np.ndarray) -> Tuple[np.ndarray, int, Dict[str, Any]]:
-        assert self._engine is not None
-        return self._engine.query_vector(q)
-
     def _query_batch(self, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
         """Multi-RHS triangular solves: SuperLU handles all ``k`` columns at once."""
         assert self._engine is not None

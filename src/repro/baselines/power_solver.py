@@ -41,17 +41,6 @@ class PowerSolver(RWRSolver):
         # graph itself (paper, Section 2.2).
         self._at = row_normalize(graph.adjacency).T.tocsr()
 
-    def _query(self, q: np.ndarray) -> Tuple[np.ndarray, int, Dict[str, Any]]:
-        assert self._at is not None
-        result = power_iteration(
-            self._at,
-            q,
-            c=self.c,
-            tol=self.tol,
-            max_iterations=self.max_iterations,
-        )
-        return result.r, result.n_iterations, {"converged": result.converged}
-
     def _query_batch(self, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
         """Column-by-column power iteration with per-seed timings.
 

@@ -9,10 +9,10 @@ benchmark harness and the applications can treat them interchangeably:
     scores = solver.query(seed)
     matrix = solver.query_many(seeds)   # one batched Algorithm-4 pass
 
-Single queries go through :meth:`RWRSolver._query`; multi-seed queries go
-through :meth:`RWRSolver._query_batch`, a multi-right-hand-side hook whose
-base implementation loops ``_query`` and which solvers override with a
-vectorized path (the bulk-serving pattern preprocessing methods exist for).
+Every query goes through one subclass hook, :meth:`RWRSolver._query_batch`,
+which solves an ``(n, k)`` block of starting vectors at once (the
+bulk-serving pattern preprocessing methods exist for).  A single seed is a
+width-one block whose column 0 is the answer.
 """
 
 from __future__ import annotations
@@ -86,9 +86,10 @@ class BatchQueryResult:
         ``(k,)`` inner-iteration counts, one per seed (0 for direct
         methods).
     per_seed_seconds:
-        ``(k,)`` per-seed wall-clock times.  Measured individually when the
-        solver fell back to the looped path; amortized (``seconds / k``)
-        when the batch was answered by one vectorized solve.
+        ``(k,)`` per-seed wall-clock times.  Measured individually by
+        solvers that loop columns (power iteration, Monte Carlo); amortized
+        (``seconds / k``) when the batch was answered by one vectorized
+        solve.
     extras:
         Solver-specific metadata.  Iterative solvers report ``"converged"``
         as a ``(k,)`` boolean array (per-seed convergence of the inner
@@ -133,13 +134,13 @@ class RWRSolver(abc.ABC):
     Subclass contract
     -----------------
     Implement :meth:`_preprocess` (store whatever the query phase needs and
-    register retained matrices via :meth:`_retain`), and :meth:`_query`
-    (given a starting vector in *original* node order, return scores in
-    original order).  ``_query`` may return ``(scores, iterations)`` or
-    ``(scores, iterations, extras)``; put a boolean ``"converged"`` in
-    ``extras`` to opt into non-convergence accounting.  Optionally override
-    :meth:`_query_batch` with a vectorized multi-seed path; the default
-    loops ``_query`` per column.
+    register retained matrices via :meth:`_retain`), and :meth:`_query_batch`
+    (given an ``(n, k)`` block of starting vectors in *original* node order,
+    return ``(scores, iterations, extras)`` with ``(n, k)`` scores in
+    original order and ``(k,)`` iterations).  Put a ``(k,)`` boolean
+    ``"converged"`` array in ``extras`` to opt into non-convergence
+    accounting.  Every query method, single-seed ones included, answers
+    through this one hook.
     """
 
     #: Human-readable method name used by the benchmark harness.
@@ -241,13 +242,21 @@ class RWRSolver(abc.ABC):
             )
         start = time.perf_counter()
         with self.telemetry.activate():
-            scores, iterations, extras = self._unpack_query_result(self._query(q_arr))
+            scores, iterations, block_extras = self._query_batch(q_arr[:, None])
         elapsed = time.perf_counter() - start
         self.telemetry.histogram(
             telemetry.QUERY_SECONDS, help="wall seconds per query"
         ).observe(elapsed, exemplar=tracing.current_trace_hex())
+        block_extras.pop("per_seed_seconds", None)
+        # Per-seed entries of a width-one block unwrap to their column 0.
+        extras = {
+            key: value[0].item() if isinstance(value, np.ndarray) else value
+            for key, value in block_extras.items()
+        }
         self._record_convergence(extras.get("converged"), n_queries=1)
-        return QueryResult(scores=scores, seconds=elapsed, iterations=iterations, extras=extras)
+        return QueryResult(
+            scores=scores[:, 0], seconds=elapsed, iterations=int(iterations[0]), extras=extras
+        )
 
     def query_many(self, seeds: Iterable[int], batch_size: Optional[int] = None) -> np.ndarray:
         """RWR scores for several seeds; returns an ``(len(seeds), n)`` matrix.
@@ -330,7 +339,7 @@ class RWRSolver(abc.ABC):
         self.telemetry.histogram(
             telemetry.BATCH_SIZE,
             buckets=telemetry.BATCH_SIZE_BUCKETS,
-            help="seeds per query_many call",
+            help="seeds per batched call (a query_topk is a batch of one)",
         ).observe(k)
         self.telemetry.histogram(
             telemetry.QUERY_SECONDS, help="wall seconds per query"
@@ -362,11 +371,7 @@ class RWRSolver(abc.ABC):
         dedup) returns the whole ordered pool; ``k < 1`` raises
         :class:`~repro.exceptions.InvalidParameterError`.
         """
-        k = validate_k(k)
-        node = self._validate_seed(seed)
-        scores = self.query(node)
-        with self.telemetry.activate():
-            return topk_from_scores(scores, node, k, exclude_seed, candidates)
+        return self.query_topk_many([seed], k, exclude_seed, candidates)[0]
 
     def query_topk_many(
         self,
@@ -406,45 +411,17 @@ class RWRSolver(abc.ABC):
         """Build and retain the method's preprocessed data."""
 
     @abc.abstractmethod
-    def _query(self, q: np.ndarray) -> Tuple:
-        """Solve for ``q`` (original order).
-
-        Return ``(scores, iterations)`` or ``(scores, iterations, extras)``.
-        """
-
     def _query_batch(self, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
         """Solve for every column of the ``(n, k)`` block ``rhs`` at once.
 
         Returns ``(scores, iterations, extras)`` where ``scores`` is
         ``(n, k)`` (column ``j`` answers column ``j`` of ``rhs``),
         ``iterations`` is ``(k,)``, and per-seed entries in ``extras``
-        (e.g. ``"converged"``) are length-``k`` arrays.
-
-        This default loops :meth:`_query` per column — correct for every
-        solver, with none of the batching speedups.  Solvers override it
-        with a vectorized multi-RHS pass and the base class handles seed
-        validation, timing, chunking, and convergence accounting.
+        (e.g. ``"converged"``) are length-``k`` arrays.  A solver that
+        loops columns may report measured ``"per_seed_seconds"``.  The
+        base class handles seed validation, timing, chunking, and
+        convergence accounting.
         """
-        n, k = rhs.shape
-        scores = np.empty((n, k), dtype=np.float64)
-        iterations = np.zeros(k, dtype=np.int64)
-        per_seed = np.zeros(k, dtype=np.float64)
-        extras_list = []
-        for j in range(k):
-            start = time.perf_counter()
-            column_scores, column_iterations, extras = self._unpack_query_result(
-                self._query(np.ascontiguousarray(rhs[:, j]))
-            )
-            per_seed[j] = time.perf_counter() - start
-            scores[:, j] = column_scores
-            iterations[j] = column_iterations
-            extras_list.append(extras)
-        merged: Dict[str, Any] = {"per_seed_seconds": per_seed}
-        if k and all("converged" in extras for extras in extras_list):
-            merged["converged"] = np.array(
-                [bool(extras["converged"]) for extras in extras_list], dtype=bool
-            )
-        return scores, iterations, merged
 
     def _retain(self, name: str, matrix: Any) -> None:
         """Register a matrix as part of the preprocessed data (for memory accounting)."""
@@ -471,15 +448,6 @@ class RWRSolver(abc.ABC):
         :func:`repro.core.engine.validate_seeds`.
         """
         return validate_seeds(seeds, self.graph.n_nodes)
-
-    @staticmethod
-    def _unpack_query_result(result: Tuple) -> Tuple[np.ndarray, int, Dict[str, Any]]:
-        """Normalize a ``_query`` return value to ``(scores, iterations, extras)``."""
-        if len(result) == 3:
-            scores, iterations, extras = result
-            return scores, int(iterations), dict(extras)
-        scores, iterations = result
-        return scores, int(iterations), {}
 
     def _record_convergence(self, converged, n_queries: int) -> None:
         """Count queries and warn about (and count) unconverged inner solves."""

@@ -329,10 +329,6 @@ class BePI(RWRSolver):
         elif self._ilu is not None:  # Jacobi: one value per row of S
             self._retain("M_diag", self._ilu._inv_diag)
 
-    def _query(self, q: np.ndarray) -> Tuple[np.ndarray, int, Dict[str, Any]]:
-        assert self._engine is not None  # guarded by _require_preprocessed
-        return self._engine.query_vector(q)
-
     def _query_batch(self, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
         """Algorithm 4 evaluated once on an ``(n, k)`` block of starting vectors.
 

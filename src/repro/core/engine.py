@@ -21,9 +21,9 @@ This module separates the two:
   independently by any number of worker processes
   (:mod:`repro.serve`).
 
-The solver classes now delegate their query phase here; the engine code is
-the *same* code that used to live in ``BePI._query`` / ``_query_batch``
-(and the Bear / LU equivalents), so scores are unchanged bit for bit.
+The solver classes delegate their query phase here.  Each engine has one
+solve, :meth:`QueryEngine.query_block` on an ``(n, k)`` block of starting
+vectors; a single seed is a width-one block.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.core.topk import TopKResult, topk_from_scores, validate_k
 from repro.exceptions import InvalidParameterError, SingularMatrixError
 from repro.graph.graph import Graph
 from repro.linalg.bicgstab import bicgstab
-from repro.linalg.gmres import gmres, gmres_multi
+from repro.linalg.gmres import gmres_multi
 from repro.linalg.power import power_iteration
 from repro.linalg.preconditioners import JacobiPreconditioner
 from repro.reorder.permutation import Permutation
@@ -197,15 +197,12 @@ class QueryEngine(abc.ABC):
         """Number of nodes scored per query."""
 
     @abc.abstractmethod
-    def query_vector(self, q: np.ndarray) -> Tuple[np.ndarray, int, Dict[str, Any]]:
-        """Solve ``H r = c q`` for one starting vector in original order."""
-
-    @abc.abstractmethod
     def query_block(
         self, rhs: np.ndarray, deadline: Optional[float] = None
     ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
         """Solve for every column of an ``(n, k)`` block of starting vectors.
 
+        The engine's only solve: one starting vector is a width-one block.
         ``deadline`` is an optional ``time.monotonic()`` budget: engines
         with an iterative inner solve stop at its expiry and return their
         best-effort iterate (``extras["converged"]`` reports what was
@@ -338,13 +335,6 @@ class BlockEliminationEngine(QueryEngine):
 
     # -- the one step BePI and Bear disagree on -------------------------
     @abc.abstractmethod
-    def _solve_schur(self, rhs: np.ndarray) -> Tuple[np.ndarray, int, bool, float]:
-        """Solve ``S r2 = rhs`` for one vector.
-
-        Returns ``(r2, iterations, converged, residual)``.
-        """
-
-    @abc.abstractmethod
     def _solve_schur_block(
         self, rhs: np.ndarray, deadline: Optional[float] = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -356,51 +346,6 @@ class BlockEliminationEngine(QueryEngine):
         """
 
     # -- Algorithm 4 / Lemma 1 skeleton ---------------------------------
-    def query_vector(self, q: np.ndarray) -> Tuple[np.ndarray, int, Dict[str, Any]]:
-        pre = self.artifacts.preprocess
-        c = self.artifacts.config["c"]
-        n1, n2 = pre.n1, pre.n2
-        blocks = pre.blocks
-
-        # Spans mirror Algorithm 4's steps: partition q, the two H11
-        # triangular-solve passes (lines 3 and 5), the Schur solve (line 4)
-        # and the deadend back-substitution (line 6).
-        with telemetry.span("query.partition"):
-            qp = pre.permutation.apply_to_vector(q)
-            q1 = qp[:n1]
-            q2 = qp[n1 : n1 + n2]
-            q3 = qp[n1 + n2 :]
-
-        # Line 3: q2~ = c q2 - H21 (U1^{-1} (L1^{-1} (c q1))).
-        with telemetry.span("query.h11_solves"):
-            if n1 > 0:
-                q2_tilde = c * q2 - blocks["H21"] @ pre.h11_factors.solve(c * q1)
-            else:
-                q2_tilde = c * q2
-
-        # Line 4: solve S r2 = q2~.
-        with telemetry.span("query.schur"):
-            if n2 > 0:
-                r2, iterations, converged, residual = self._solve_schur(q2_tilde)
-            else:
-                r2 = np.zeros(0, dtype=np.float64)
-                iterations, converged, residual = 0, True, 0.0
-
-        # Line 5: r1 = U1^{-1} (L1^{-1} (c q1 - H12 r2)).
-        with telemetry.span("query.h11_solves"):
-            if n1 > 0:
-                r1 = pre.h11_factors.solve(c * q1 - blocks["H12"] @ r2)
-            else:
-                r1 = np.zeros(0, dtype=np.float64)
-
-        # Line 6: r3 = c q3 - H31 r1 - H32 r2.
-        with telemetry.span("query.backsub"):
-            r3 = c * q3 - blocks["H31"] @ r1 - blocks["H32"] @ r2
-
-            r = np.concatenate([r1, r2, r3])
-            scores = pre.permutation.unapply_to_vector(r)
-        return scores, iterations, self._vector_extras(converged, residual)
-
     def query_block(
         self, rhs: np.ndarray, deadline: Optional[float] = None
     ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
@@ -410,6 +355,9 @@ class BlockEliminationEngine(QueryEngine):
         blocks = pre.blocks
         k = rhs.shape[1]
 
+        # Spans mirror Algorithm 4's steps: partition q, the two H11
+        # triangular-solve passes (lines 3 and 5), the Schur solve (line 4)
+        # and the deadend back-substitution (line 6).
         with telemetry.span("query.partition"):
             qp = pre.permutation.apply_to_vector(rhs)
             q1 = qp[:n1]
@@ -451,9 +399,6 @@ class BlockEliminationEngine(QueryEngine):
         return scores, iterations, self._block_extras(converged, residuals)
 
     # -- extras policy (BePI reports convergence; Bear is direct) -------
-    def _vector_extras(self, converged: bool, residual: float) -> Dict[str, Any]:
-        return {}
-
     def _block_extras(
         self, converged: np.ndarray, residuals: np.ndarray
     ) -> Dict[str, Any]:
@@ -482,17 +427,6 @@ class BePIQueryEngine(BlockEliminationEngine):
     #: Iteration cap for the power-iteration rung (the global safety net;
     #: its per-step cost is one Schur matvec).
     FALLBACK_POWER_ITERATIONS = 10_000
-
-    def _solve_schur(self, rhs: np.ndarray) -> Tuple[np.ndarray, int, bool, float]:
-        r2, iterations, converged, residuals = self._solve_schur_block(
-            rhs.reshape(-1, 1)
-        )
-        return (
-            np.ascontiguousarray(r2[:, 0]),
-            int(iterations[0]),
-            bool(converged[0]),
-            float(residuals[0]),
-        )
 
     def _solve_schur_block(
         self, rhs: np.ndarray, deadline: Optional[float] = None
@@ -695,9 +629,6 @@ class BePIQueryEngine(BlockEliminationEngine):
             help="relative residual achieved by the answering fallback rung",
         ).observe_many(np.asarray(residuals, dtype=np.float64).tolist())
 
-    def _vector_extras(self, converged: bool, residual: float) -> Dict[str, Any]:
-        return {"converged": converged, "schur_residual": residual}
-
     def _block_extras(
         self, converged: np.ndarray, residuals: np.ndarray
     ) -> Dict[str, Any]:
@@ -708,9 +639,6 @@ class BearQueryEngine(BlockEliminationEngine):
     """Lemma 1: the Schur system is applied through the precomputed inverse."""
 
     kind = "bear"
-
-    def _solve_schur(self, rhs: np.ndarray) -> Tuple[np.ndarray, int, bool, float]:
-        return self.artifacts.schur_inv @ rhs, 0, True, 0.0
 
     def _solve_schur_block(
         self, rhs: np.ndarray, deadline: Optional[float] = None
@@ -749,12 +677,6 @@ class LUQueryEngine(QueryEngine):
     @property
     def n_nodes(self) -> int:
         return len(self._permutation)
-
-    def query_vector(self, q: np.ndarray) -> Tuple[np.ndarray, int, Dict[str, Any]]:
-        with telemetry.span("query.lu_solve"):
-            qp = self._permutation.apply_to_vector(q)
-            r = self._solve(self._c * qp)
-            return self._permutation.unapply_to_vector(r), 0, {}
 
     def query_block(
         self, rhs: np.ndarray, deadline: Optional[float] = None

@@ -230,6 +230,13 @@ def save_artifacts(
     manifest_tmp = root / (_MANIFEST_NAME + ".tmp")
     manifest_tmp.write_text(json.dumps(manifest, indent=2))
     os.replace(manifest_tmp, root / _MANIFEST_NAME)
+    # A previous save into this directory may have written arrays this
+    # bundle does not have (e.g. ILU factors before a Jacobi save).  Drop
+    # them only once the new manifest is in place, so no manifest on disk
+    # ever names a deleted file.
+    for stale in arrays_dir.glob("*.npy"):
+        if stale.name not in checksums:
+            stale.unlink()
     return root
 
 
@@ -329,8 +336,9 @@ def load_artifacts(
         preconditioner = ILUFactors(
             l=read_csr("L2"),
             u=read_csr("U2"),
-            # Only arrays this manifest names: saving into an existing
-            # directory can leave another save's permutations behind.
+            # Only arrays this manifest names: a save into an existing
+            # directory cut short between the manifest swap and the
+            # clean-up leaves the previous save's permutations behind.
             **{
                 name: read(name)
                 for name in _ILU_PERMUTATIONS
@@ -350,11 +358,13 @@ def load_artifacts(
 
 
 def artifact_nbytes(directory: PathLike) -> int:
-    """Total bytes of array payload in an artifact directory."""
-    arrays_dir = Path(directory) / _ARRAYS_DIR
-    if not arrays_dir.is_dir():
-        raise GraphFormatError(f"{directory}: not an artifact directory (no arrays/)")
-    return sum(f.stat().st_size for f in arrays_dir.glob("*.npy"))
+    """Total bytes of the array files an artifact directory's manifest names."""
+    root = Path(directory)
+    arrays_dir = root / _ARRAYS_DIR
+    return sum(
+        (arrays_dir / name).stat().st_size
+        for name in _read_manifest(root)["checksums"]
+    )
 
 
 # ----------------------------------------------------------------------

@@ -163,7 +163,8 @@ class TestMetrics:
         snapshot_path = str(tmp_path / "build-metrics.json")
         assert main(["build", graph_file, "-o", out_dir,
                      "--metrics-out", snapshot_path]) == 0
-        snapshot = json.load(open(snapshot_path))
+        with open(snapshot_path) as fh:
+            snapshot = json.load(fh)
         assert "preprocess.seconds" in snapshot["gauges"]
         assert "memory.bytes" in snapshot["gauges"]
 
@@ -178,7 +179,8 @@ class TestMetrics:
                      "--metrics-out", snapshot_path]) == 0
         out = capsys.readouterr().out
         assert "served 3 queries across 2 workers" in out
-        snapshot = json.load(open(snapshot_path))
+        with open(snapshot_path) as fh:
+            snapshot = json.load(fh)
         assert snapshot["counters"]["rwr.queries"]["value"] == 3
 
 

@@ -22,8 +22,8 @@ class TestEngineExtraction:
         engine = solver.engine
         q = np.zeros(small_graph.n_nodes)
         q[3] = 1.0
-        scores, _, _ = engine.query_vector(q)
-        assert np.array_equal(scores, solver.query(3))
+        scores, _, _ = engine.query_block(q[:, None])
+        assert np.array_equal(scores[:, 0], solver.query(3))
 
     def test_engine_query_many_matches_solver(self, small_graph):
         solver = BePI(tol=1e-11).preprocess(small_graph)

@@ -208,6 +208,22 @@ class TestArtifactDirectory:
         )
         assert nbytes == payload > 0
 
+    def test_resave_drops_arrays_of_previous_bundle(self, tmp_path):
+        graph = generate_rmat(9, 4000, seed=5)
+        path = tmp_path / "artifacts"
+        save_artifacts(BePI(ilu_engine="spilu").preprocess(graph), path)
+        jacobi = BePI(ilu_engine="jacobi", tol=1e-11).preprocess(graph)
+        save_artifacts(jacobi, path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        on_disk = {f.name for f in (path / "arrays").iterdir()}
+        assert on_disk == set(manifest["checksums"])
+        assert not any(name.startswith(("L2.", "U2.")) for name in on_disk)
+        assert artifact_nbytes(path) == sum(
+            (path / "arrays" / name).stat().st_size for name in on_disk
+        )
+        loaded = load_solver(path)
+        assert np.array_equal(loaded.query(3), jacobi.query(3))
+
     def test_loaded_stats_and_config(self, small_graph, tmp_path):
         original = BePI(c=0.1, tol=1e-8, hub_ratio=0.3).preprocess(small_graph)
         save_artifacts(original, tmp_path / "artifacts")
@@ -265,13 +281,19 @@ class TestSpiluRoundtrip:
         assert not {"perm_r.npy", "perm_c.npy"} & names
 
     def test_resave_ignores_stale_permutations(self, spilu_solver, tmp_path):
-        """Saving an ILU(0) bundle over a spilu one leaves the old
-        ``perm_*.npy`` files behind; the loader must not apply them."""
+        """Saving an ILU(0) bundle over a spilu one removes the old
+        ``perm_*.npy`` files; if they are left behind anyway (a save cut
+        short between the manifest swap and the clean-up), the loader still
+        applies no permutation the manifest does not name."""
         target = tmp_path / "saved"
+        spilu_arrays = save_artifacts(spilu_solver, tmp_path / "spilu") / "arrays"
         save_artifacts(spilu_solver, target)
         ilu0 = BePI(tol=1e-10).preprocess(spilu_solver.graph)
         save_artifacts(ilu0, target)
-        assert (target / "arrays" / "perm_r.npy").is_file()
+        assert not (target / "arrays" / "perm_r.npy").exists()
+        assert not (target / "arrays" / "perm_c.npy").exists()
+        for name in ("perm_r.npy", "perm_c.npy"):
+            (target / "arrays" / name).write_bytes((spilu_arrays / name).read_bytes())
         loaded = load_solver(target)
         assert loaded.solver_artifacts.preconditioner.perm_r is None
         assert loaded.solver_artifacts.preconditioner.perm_c is None
