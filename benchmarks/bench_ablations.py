@@ -79,7 +79,7 @@ def test_ablation_hub_selection(benchmark, hub_selection):
         assert largest_block > 0
 
 
-@pytest.mark.parametrize("precond", ["none", "ilu0", "spilu"])
+@pytest.mark.parametrize("precond", ["none", "ilu0"])
 def test_ablation_preconditioner(benchmark, query_seeds, precond):
     graph = build_dataset(DATASET)
     if precond == "none":
@@ -104,7 +104,7 @@ def test_ablation_preconditioner(benchmark, query_seeds, precond):
     })
     print(f"\npreconditioner={precond}: avg iterations {mean_iters:.1f}")
     if precond != "none":
-        # Any ILU engine must cut the iteration count substantially.
+        # ILU(0) must cut the iteration count substantially.
         assert mean_iters < 12
 
 

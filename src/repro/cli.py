@@ -108,15 +108,6 @@ def _build_solver(args: argparse.Namespace):
     return cls(**kwargs)
 
 
-def _write_metrics(registry: MetricsRegistry, path: str) -> None:
-    """Write a registry's JSON snapshot to ``path`` (parents created)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        handle.write(registry.to_json())
-    print(f"wrote metrics snapshot to {path}")
-
-
 def _add_tracing_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace-sample", type=float, default=None, metavar="RATE",
                         help="fraction of requests to trace, 0..1 "
@@ -183,16 +174,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
     print(f"artifact payload: {artifact_nbytes(target):,} bytes "
           f"(mmap-shareable across serving workers)")
     if args.metrics_out:
-        _write_metrics(solver.telemetry, args.metrics_out)
+        solver.telemetry.write_json(args.metrics_out)
+        print(f"wrote metrics snapshot to {args.metrics_out}")
     return 0
-
-
-def _write_metrics_file(registry: MetricsRegistry, path: str) -> None:
-    """Like :func:`_write_metrics` but silent (for periodic refreshes)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        handle.write(registry.to_json())
 
 
 async def _follow_store_forever(pool, interval: float) -> None:
@@ -467,7 +451,8 @@ def _cmd_update(args: argparse.Namespace) -> int:
               + (f", kept leased/current: {', '.join(result.skipped)}"
                  if result.skipped else ""))
     if args.metrics_out:
-        _write_metrics(registry, args.metrics_out)
+        registry.write_json(args.metrics_out)
+        print(f"wrote metrics snapshot to {args.metrics_out}")
     return 0
 
 
@@ -520,7 +505,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             try:
                 # The merged fleet registry (gateway + every polled
                 # backend), so the snapshot on disk matches `repro top`.
-                _write_metrics_file(gateway.fleet_registry(), args.metrics_out)
+                gateway.fleet_registry().write_json(args.metrics_out)
             except OSError:  # pragma: no cover - disk hiccup; retry next tick
                 pass
 
@@ -587,7 +572,8 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                   f"request(s), shed "
                   f"{gateway.registry.get(GATEWAY_SHED).value:.0f}")
             if args.metrics_out:
-                _write_metrics(gateway.fleet_registry(), args.metrics_out)
+                gateway.fleet_registry().write_json(args.metrics_out)
+                print(f"wrote metrics snapshot to {args.metrics_out}")
         finally:
             if pool is not None:
                 pool.stop()
@@ -614,7 +600,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print("note: every other node scores 0 — the seed has no outgoing "
               "edges (deadend) or its component is unreachable")
     if args.metrics_out:
-        _write_metrics(solver.telemetry, args.metrics_out)
+        solver.telemetry.write_json(args.metrics_out)
+        print(f"wrote metrics snapshot to {args.metrics_out}")
     return 0
 
 

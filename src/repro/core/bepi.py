@@ -37,7 +37,7 @@ from repro.exceptions import (
     SingularMatrixError,
 )
 from repro.graph.graph import Graph
-from repro.linalg.ilu import ILUFactors, ilu0, ilut, spilu_factors
+from repro.linalg.ilu import ILUFactors, ilu0
 from repro.linalg.preconditioners import JacobiPreconditioner
 from repro.parallel import resolve_n_jobs
 
@@ -51,6 +51,9 @@ DEFAULT_SMALL_HUB_RATIO = 0.05
 
 #: Default sparsifying ratio: the paper selects 0.2-0.3 for every dataset.
 DEFAULT_SPARSE_HUB_RATIO = 0.2
+
+#: Accepted ``ilu_engine`` values.
+ILU_ENGINES = ("ilu0", "jacobi")
 
 
 class BePI(RWRSolver):
@@ -71,9 +74,7 @@ class BePI(RWRSolver):
         (Section 3.5).  Disable to obtain BePI-S behaviour.
     ilu_engine:
         Preconditioner engine: ``"ilu0"`` for the from-scratch ILU(0) (the
-        paper's choice, default), ``"ilut"`` for the threshold-based ILUT
-        (stronger, allows fill), ``"spilu"`` for scipy's SuperLU-based
-        incomplete factorization, or ``"jacobi"`` for the cheap diagonal
+        paper's choice, default), or ``"jacobi"`` for the cheap diagonal
         preconditioner (ablation lower bar).
     iterative_method:
         Krylov solver for the Schur system: ``"gmres"`` (the paper's
@@ -139,8 +140,6 @@ class BePI(RWRSolver):
         memory_budget: Optional[MemoryBudget] = None,
         deadend_reorder: bool = True,
         hub_selection: str = "slashburn",
-        ilut_drop_tolerance: float = 1e-4,
-        ilut_fill_factor: int = 20,
         n_jobs: int = 1,
     ):
         super().__init__(c=c, tol=tol, memory_budget=memory_budget)
@@ -153,10 +152,9 @@ class BePI(RWRSolver):
             raise InvalidParameterError(
                 f"hub_ratio must be in (0, 1], got {hub_ratio}"
             )
-        if ilu_engine not in ("ilu0", "ilut", "spilu", "jacobi"):
+        if ilu_engine not in ILU_ENGINES:
             raise InvalidParameterError(
-                f"ilu_engine must be 'ilu0', 'ilut', 'spilu' or 'jacobi', "
-                f"got {ilu_engine!r}"
+                f"ilu_engine must be 'ilu0' or 'jacobi', got {ilu_engine!r}"
             )
         if iterative_method not in ("gmres", "bicgstab"):
             raise InvalidParameterError(
@@ -176,8 +174,6 @@ class BePI(RWRSolver):
         self.fallback_chain = fallback_chain
         self.deadend_reorder = deadend_reorder
         self.hub_selection = hub_selection
-        self.ilut_drop_tolerance = ilut_drop_tolerance
-        self.ilut_fill_factor = ilut_fill_factor
         self.n_jobs = resolve_n_jobs(n_jobs)
         self._artifacts: Optional[PreprocessArtifacts] = None
         self._ilu = None  # ILUFactors or JacobiPreconditioner
@@ -226,19 +222,11 @@ class BePI(RWRSolver):
             try:
                 if self.ilu_engine == "ilu0":
                     self._ilu = ilu0(artifacts.schur)
-                elif self.ilu_engine == "ilut":
-                    self._ilu = ilut(
-                        artifacts.schur,
-                        drop_tolerance=self.ilut_drop_tolerance,
-                        fill_factor=self.ilut_fill_factor,
-                    )
-                elif self.ilu_engine == "spilu":
-                    self._ilu = spilu_factors(artifacts.schur)
                 else:
                     self._ilu = JacobiPreconditioner(artifacts.schur)
             except (SingularMatrixError, RuntimeError):
-                # Incomplete-factorization breakdown (zero/tiny pivot, or
-                # SuperLU giving up): degrade to the Jacobi diagonal, and to
+                # Incomplete-factorization breakdown (a zero pivot, or any
+                # other factorizer error): degrade to the Jacobi diagonal, and to
                 # no preconditioner at all if even that is singular.  GMRES
                 # still converges, just on the unpreconditioned Fig. 6
                 # iteration counts.

@@ -7,7 +7,7 @@ Contains everything the paper's Algorithms 1-5 need:
 - GMRES with optional left preconditioning, Arnoldi + Givens rotations
   (:mod:`repro.linalg.gmres`),
 - ILU(0) incomplete factorization (:mod:`repro.linalg.ilu`),
-- sparse triangular solves (:mod:`repro.linalg.triangular`),
+- reference sparse triangular solves (:mod:`repro.linalg.triangular`),
 - power iteration (:mod:`repro.linalg.power`).
 
 All routines operate on ``scipy.sparse`` matrices as the storage format but
@@ -24,7 +24,7 @@ from repro.linalg.gmres import (
     gmres,
     gmres_multi,
 )
-from repro.linalg.ilu import ILUFactors, ilu0, ilut, spilu_factors
+from repro.linalg.ilu import ILUFactors, ilu0
 from repro.linalg.power import PowerResult, power_iteration
 from repro.linalg.preconditioners import JacobiPreconditioner
 from repro.linalg.rwr_matrix import (
@@ -48,11 +48,9 @@ __all__ = [
     "gmres",
     "gmres_multi",
     "ilu0",
-    "ilut",
     "partition_h",
     "power_iteration",
     "row_normalize",
     "solve_lower_triangular",
     "solve_upper_triangular",
-    "spilu_factors",
 ]

@@ -12,115 +12,61 @@ done, and all entries of one step (distinct rows) are eliminated together by
 vectorized gathers, one ``searchsorted`` for the update sources, and one
 scatter.  Every entry receives the same float operations in the same order
 as the row-by-row loop, so the factors are bit-identical to it.
-``spilu_factors`` wraps scipy's SuperLU-based ILU as an alternative engine
-for cross-checking and for speed on large inputs.
+
+:meth:`ILUFactors.solve` applies the factors by one Jacobi sweep each
+rather than by exact substitution; the sweep is sound for these no-fill
+factors of the diagonally dominant ``S``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from repro.exceptions import SingularMatrixError
-from repro.linalg.triangular import TriangularSolver
-
-#: Block width ``k`` from which :meth:`ILUFactors.solve` applies the factors
-#: with the level-ordered :class:`TriangularSolver` instead of SuperLU.
-#: SuperLU substitutes column by column, so its cost grows linearly in
-#: ``k``; the level solver pays a fixed per-level overhead once per block.
-#: Chosen from ms per application of ``L2, U2`` of the R-MAT scale-14 Schur
-#: complement (n2 = 3,669, 135k factor non-zeros, 148 + 137 levels) on a
-#: 2-vCPU x86 machine, BLAS on one thread, medians of 41 alternated
-#: applications averaged over two runs, one Schur SpMV for scale:
-#:
-#: ====  =======  =====  ==========
-#:  k    SuperLU  level  Schur SpMV
-#: ====  =======  =====  ==========
-#:   1     0.50    2.97     0.20
-#:   8     2.3     3.9      0.9
-#:  12     2.9     3.6      0.9
-#:  16     4.7     4.9      1.6
-#:  20     5.3     4.9      1.6
-#:  24     8.0     6.7      2.4
-#:  32    11.0     8.1      3.9
-#:  64    19.7    11.3      6.8
-#: ====  =======  =====  ==========
-#:
-#: The two tie at 16; the level solver wins from 20 on and is built once
-#: per factor pair (~60 ms, ~1.7 MB at this size).
-LEVEL_SOLVE_CROSSOVER = 16
 
 
 @dataclass(frozen=True)
 class ILUFactors:
-    """Triangular factors ``L`` (unit diagonal, stored) and ``U`` with ``A ~= L U``.
-
-    An engine that permutes (scipy's SuperLU ``spilu``) factors
-    ``Pr A Pc ~= L U`` instead; ``perm_r`` and ``perm_c`` then hold its
-    permutations in SuperLU's convention (``Pr[perm_r[i], i] = 1``,
-    ``Pc[i, perm_c[i]] = 1``), and :meth:`solve` applies them around the
-    substitutions.  They are ``None`` for ILU(0) and ILUT.
-    """
+    """Triangular factors ``L`` (unit diagonal, stored) and ``U`` with ``A ~= L U``."""
 
     l: sp.csr_matrix
     u: sp.csr_matrix
-    perm_r: Optional[np.ndarray] = None
-    perm_c: Optional[np.ndarray] = None
 
-    def _solvers(self, width: int):
-        """Triangular solvers for a block of ``width`` columns (cached).
+    @cached_property
+    def _diagonal(self) -> np.ndarray:
+        """``d = diag(U)``, the only thing :meth:`solve` derives from the factors.
 
-        Narrow blocks use a no-fill natural-order sparse LU of each
-        (already triangular) factor, giving sequential C-speed
-        substitutions.  From :data:`LEVEL_SOLVE_CROSSOVER` columns on, the
-        level-ordered :class:`TriangularSolver` shares its per-level cost
-        across the block and wins; it is built on the first wide
-        application.  Neither is persisted with the factors.
-
-        SuperLU is built on the first application of any width.  Its
-        workspace is large and mostly untouched.  Built later, inside a
-        wide solve whose large temporaries have already been freed, glibc
-        serves it from dirty heap pages: at R-MAT scale 14 a serving
-        process then grew by up to 16 MB of RSS, where the level solver
-        itself holds ~2 MB.
+        Computed on the first application, so opening memory-mapped factors
+        touches none of their pages.
         """
-        cached = getattr(self, "_cached_solvers", None)
-        if cached is None:
-            lower = splu(sp.csc_matrix(self.l), permc_spec="NATURAL")
-            upper = splu(sp.csc_matrix(self.u), permc_spec="NATURAL")
-            cached = (lower.solve, upper.solve)
-            object.__setattr__(self, "_cached_solvers", cached)
-        if width < LEVEL_SOLVE_CROSSOVER:
-            return cached
-        level = getattr(self, "_cached_level_solvers", None)
-        if level is None:
-            lower = TriangularSolver(self.l, lower=True, unit_diagonal=True)
-            upper = TriangularSolver(self.u, lower=False)
-            level = (lower.solve, upper.solve)
-            object.__setattr__(self, "_cached_level_solvers", level)
-        return level
+        return np.asarray(self.u.diagonal(), dtype=np.float64)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply the preconditioner: return ``U^{-1} (L^{-1} rhs)``.
+        """Apply the preconditioner: one Jacobi sweep per triangular factor.
 
-        Applies the factors through forward/backward substitution; they are
-        never inverted (Appendix B of the paper), so each application costs
-        about one sparse matvec.  ``rhs`` may be a vector or an ``(n, k)``
-        matrix; the substitution engine is chosen by ``k`` (see
-        :data:`LEVEL_SOLVE_CROSSOVER`).
+        Writing ``L = I + L_s`` and ``U = D (I + D^{-1} U_s)`` with ``L_s``,
+        ``U_s`` strict and ``D = diag(U)``, each factor's inverse is
+        replaced by the first two terms of its Neumann series::
+
+            M^{-1} b = (I - D^{-1} U_s) D^{-1} (I - L_s) b
+
+        (the iterative triangular solve of Anzt, Chow and Dongarra, one
+        sweep from a zero start).  It is evaluated from the stored factors
+        as ``y = 2b - L b``, ``z = y / d``, ``x = z - (U z - y) / d``: two
+        sparse products, about one matvec of ``S``, at every width.  The
+        factors are never inverted (Appendix B of the paper).  ``rhs`` may
+        be a vector or an ``(n, k)`` block; column ``j`` of a block's answer
+        is bit-equal to the answer for column ``j`` alone.
         """
         b = np.asarray(rhs, dtype=np.float64)
-        solve_lower, solve_upper = self._solvers(1 if b.ndim == 1 else b.shape[1])
-        if self.perm_r is not None:
-            permuted = np.empty_like(b)
-            permuted[self.perm_r] = b
-            b = permuted
-        x = solve_upper(solve_lower(b))
-        return x if self.perm_c is None else np.take(x, self.perm_c, axis=0)
+        d = self._diagonal.reshape((-1,) + (1,) * (b.ndim - 1))
+        y = 2.0 * b - self.l @ b
+        z = y / d
+        return z - (self.u @ z - y) / d
 
     @property
     def nnz(self) -> int:
@@ -332,140 +278,3 @@ def ilu0(matrix: sp.spmatrix) -> ILUFactors:
     lower.sort_indices()
     upper.sort_indices()
     return ILUFactors(l=lower, u=upper)
-
-
-def ilut(
-    matrix: sp.spmatrix,
-    drop_tolerance: float = 1e-3,
-    fill_factor: int = 10,
-) -> ILUFactors:
-    """ILUT: threshold-based incomplete LU (Saad's dual-dropping scheme).
-
-    Unlike ILU(0), fill-in *is* allowed, but entries are dropped by two
-    rules applied per row:
-
-    1. magnitude: entries below ``drop_tolerance`` times the row's 2-norm
-       are discarded during elimination,
-    2. count: only the ``fill_factor`` largest entries are kept in each of
-       the row's L and U parts.
-
-    A stronger (and costlier) preconditioner than ILU(0) — the standard
-    upgrade path when ILU(0)'s iteration counts are not low enough.
-
-    Parameters
-    ----------
-    matrix:
-        Square sparse matrix.
-    drop_tolerance:
-        Relative magnitude threshold; 0 disables magnitude dropping.
-    fill_factor:
-        Maximum kept entries per row per factor (diagonal always kept).
-
-    Raises
-    ------
-    SingularMatrixError
-        On a zero pivot.
-    """
-    csr = sp.csr_matrix(matrix, dtype=np.float64)
-    if csr.shape[0] != csr.shape[1]:
-        raise SingularMatrixError(f"ILUT requires a square matrix, got {csr.shape}")
-    if drop_tolerance < 0:
-        raise SingularMatrixError(f"drop_tolerance must be >= 0, got {drop_tolerance}")
-    if fill_factor < 1:
-        raise SingularMatrixError(f"fill_factor must be >= 1, got {fill_factor}")
-    n = csr.shape[0]
-    if n == 0:
-        empty = sp.csr_matrix((0, 0))
-        return ILUFactors(empty, empty)
-    csr = _ensure_diagonal(csr)
-    csr.sort_indices()
-
-    # Finished rows of U (dict col -> value) and of strict L.
-    u_rows: list = [None] * n
-    l_rows: list = [None] * n
-
-    indptr, indices, data = csr.indptr, csr.indices, csr.data
-    for i in range(n):
-        lo, hi = indptr[i], indptr[i + 1]
-        row = dict(zip(indices[lo:hi].tolist(), data[lo:hi].tolist()))
-        row_norm = float(np.sqrt(sum(v * v for v in row.values())))
-        threshold = drop_tolerance * row_norm
-
-        l_part: dict = {}
-        # Eliminate against finished rows in ascending column order; the
-        # update can introduce *new* sub-diagonal fill, so pick the next
-        # column dynamically instead of from a static snapshot.
-        while True:
-            pending = [col for col in row if col < i]
-            if not pending:
-                break
-            k = min(pending)
-            a_ik = row.pop(k)
-            if abs(a_ik) <= threshold:
-                continue
-            pivot = u_rows[k].get(k, 0.0)
-            if pivot == 0.0:
-                raise SingularMatrixError(f"zero pivot at row {k} during ILUT")
-            factor = a_ik / pivot
-            l_part[k] = factor
-            for j, u_kj in u_rows[k].items():
-                if j > k:
-                    row[j] = row.get(j, 0.0) - factor * u_kj
-
-        # Dual dropping on the remaining (U-part) entries.
-        u_part = {
-            j: v for j, v in row.items()
-            if j >= i and (j == i or abs(v) > threshold)
-        }
-        if i not in u_part:
-            raise SingularMatrixError(f"zero pivot at row {i} in ILUT result")
-        if len(u_part) - 1 > fill_factor:
-            keep = sorted(
-                (j for j in u_part if j != i),
-                key=lambda j: -abs(u_part[j]),
-            )[:fill_factor]
-            u_part = {i: u_part[i], **{j: u_part[j] for j in keep}}
-        if len(l_part) > fill_factor:
-            keep = sorted(l_part, key=lambda j: -abs(l_part[j]))[:fill_factor]
-            l_part = {j: l_part[j] for j in keep}
-        if u_part[i] == 0.0:
-            raise SingularMatrixError(f"zero pivot at row {i} in ILUT result")
-
-        u_rows[i] = u_part
-        l_rows[i] = l_part
-
-    def _rows_to_csr(rows, add_unit_diagonal):
-        row_idx, col_idx, values = [], [], []
-        for r, entries in enumerate(rows):
-            if add_unit_diagonal:
-                row_idx.append(r)
-                col_idx.append(r)
-                values.append(1.0)
-            for c, v in entries.items():
-                row_idx.append(r)
-                col_idx.append(c)
-                values.append(v)
-        mat = sp.coo_matrix((values, (row_idx, col_idx)), shape=(n, n)).tocsr()
-        mat.sort_indices()
-        return mat
-
-    lower = _rows_to_csr(l_rows, add_unit_diagonal=True)
-    upper = _rows_to_csr(u_rows, add_unit_diagonal=False)
-    return ILUFactors(l=lower, u=upper)
-
-
-def spilu_factors(matrix: sp.spmatrix, **kwargs) -> ILUFactors:
-    """ILU via scipy's SuperLU (alternative engine; used for cross-checks).
-
-    SuperLU's incomplete factorization permutes rows and columns, so the
-    triangular factors approximate ``Pr matrix Pc``; the returned
-    :class:`ILUFactors` carries both permutations and applies them in
-    :meth:`ILUFactors.solve`, so it is the same operator in memory and after
-    a save/load round trip.
-    """
-    from scipy.sparse.linalg import spilu
-
-    ilu = spilu(sp.csc_matrix(matrix), **kwargs)
-    return ILUFactors(
-        l=ilu.L.tocsr(), u=ilu.U.tocsr(), perm_r=ilu.perm_r, perm_c=ilu.perm_c
-    )

@@ -39,7 +39,7 @@ from typing import Any, Dict, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.bepi import BePI
+from repro.core.bepi import ILU_ENGINES, BePI
 from repro.core.engine import SolverArtifacts
 from repro.core.pipeline import PreprocessArtifacts
 from repro.exceptions import (
@@ -74,18 +74,27 @@ def _preconditioner_kind(preconditioner: Any) -> str:
     return "ilu"
 
 
-#: Optional :class:`ILUFactors` fields, stored (under the same names) only
-#: for engines that permute, e.g. ``spilu``.
-_ILU_PERMUTATIONS = ("perm_r", "perm_c")
+#: Prefix of the row/column permutation arrays that the removed permuting
+#: (SuperLU) ILU engine stored.  ILU factors are now applied by a Jacobi
+#: sweep that is sound only for unpermuted ILU(0) factors on ``S``'s own
+#: pattern, so a bundle naming such an array is refused.
+_PERMUTATION_PREFIX = "perm_"
 
 
-def _ilu_permutations(factors: ILUFactors) -> Dict[str, np.ndarray]:
-    """The permutation arrays ``factors`` carries, by field name."""
-    return {
-        name: getattr(factors, name)
-        for name in _ILU_PERMUTATIONS
-        if getattr(factors, name) is not None
-    }
+def _refuse_retired_bundle(root: Path, manifest: Dict[str, Any]) -> None:
+    """Raise :class:`GraphFormatError` for a bundle this version cannot apply."""
+    engine = manifest["config"].get("ilu_engine")
+    if engine not in ILU_ENGINES:
+        raise GraphFormatError(
+            f"{root}: built with ilu_engine {engine!r}, which is no longer "
+            f"supported (only {', '.join(ILU_ENGINES)}); rebuild the artifacts"
+        )
+    retired = sorted(n for n in manifest["checksums"] if n.startswith(_PERMUTATION_PREFIX))
+    if retired:
+        raise GraphFormatError(
+            f"{root}: manifest names {', '.join(retired)}, the permutations of "
+            "a permuted ILU, which is no longer supported; rebuild the artifacts"
+        )
 
 
 def _require_bepi_bundle(source: Union[BePI, SolverArtifacts]) -> SolverArtifacts:
@@ -207,8 +216,6 @@ def save_artifacts(
     if kind == "ilu":
         write_csr("L2", bundle.preconditioner.l)
         write_csr("U2", bundle.preconditioner.u)
-        for name, perm in _ilu_permutations(bundle.preconditioner).items():
-            write_dense(name, perm)
     elif kind == "jacobi":
         write_dense("M_diag", bundle.preconditioner.inverse_diagonal)
 
@@ -287,6 +294,7 @@ def load_artifacts(
     """
     root = Path(directory)
     manifest = _read_manifest(root)
+    _refuse_retired_bundle(root, manifest)
     if verify:
         verify_artifacts(root)
     arrays_dir = root / _ARRAYS_DIR
@@ -333,18 +341,7 @@ def load_artifacts(
 
     preconditioner = None
     if manifest["preconditioner_kind"] == "ilu":
-        preconditioner = ILUFactors(
-            l=read_csr("L2"),
-            u=read_csr("U2"),
-            # Only arrays this manifest names: a save into an existing
-            # directory cut short between the manifest swap and the
-            # clean-up leaves the previous save's permutations behind.
-            **{
-                name: read(name)
-                for name in _ILU_PERMUTATIONS
-                if f"{name}.npy" in manifest["checksums"]
-            },
-        )
+        preconditioner = ILUFactors(l=read_csr("L2"), u=read_csr("U2"))
     elif manifest["preconditioner_kind"] == "jacobi":
         preconditioner = JacobiPreconditioner.from_inverse_diagonal(read("M_diag"))
 

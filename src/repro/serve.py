@@ -954,25 +954,17 @@ class WorkerPool:
     def write_metrics(self, path: Optional[PathLike] = None) -> Path:
         """Write the merged worker metrics as a JSON snapshot.
 
-        ``path`` defaults to the pool's ``metrics_path``; parent
-        directories are created as needed.  The snapshot is staged in a
-        pid-tagged ``.tmp`` file and atomically renamed into place;
-        orphaned ``.tmp`` files from a previous process that died
-        mid-write are cleaned up when the next pool starts.
+        ``path`` defaults to the pool's ``metrics_path``.  The write is
+        :meth:`~repro.telemetry.MetricsRegistry.write_json`'s atomic one;
+        orphaned ``.tmp`` files from a previous process that died mid-write
+        are cleaned up when the next pool starts.
         """
-        target = Path(path) if path is not None else self.metrics_path
+        target = path if path is not None else self.metrics_path
         if target is None:
             raise InvalidParameterError(
                 "no metrics path: pass one or construct the pool with metrics_path"
             )
-        target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(self.metrics().to_json())
-            os.replace(tmp, target)
-        finally:
-            tmp.unlink(missing_ok=True)
-        return target
+        return self.metrics().write_json(target)
 
     def _clean_orphan_metrics(self) -> None:
         """Remove stale ``.tmp`` staging files next to the metrics target."""

@@ -38,12 +38,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import threading
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, MutableMapping, Optional, Tuple
+from pathlib import Path
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Mapping, MutableMapping, Optional, Tuple, Union,
+)
 
 from repro import tracing
 from repro.exceptions import InvalidParameterError
@@ -611,6 +615,24 @@ class MetricsRegistry:
     def to_json(self, indent: Optional[int] = 2) -> str:
         """The snapshot as a JSON document (what ``--metrics-out`` writes)."""
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
+
+    def write_json(self, path: Union[str, os.PathLike]) -> Path:
+        """Write :meth:`to_json` to ``path`` atomically (parents created).
+
+        The snapshot is staged in a pid-tagged ``.tmp`` file next to the
+        target and renamed into place, so a reader of a periodically
+        refreshed snapshot never sees it half-written, and a failed write
+        leaves the previous snapshot whole.
+        """
+        target = Path(path)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(self.to_json())
+            os.replace(tmp, target)
+        finally:
+            tmp.unlink(missing_ok=True)
+        return target
 
     @classmethod
     def from_json(cls, text: str) -> "MetricsRegistry":

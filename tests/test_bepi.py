@@ -117,10 +117,6 @@ class TestVariantPolicies:
         assert 0.0 < solver.stats["hub_ratio"] <= 0.5
         assert solver.stats["hub_ratio_sweep_seconds"] > 0
 
-    def test_spilu_engine(self, medium_graph):
-        solver = BePI(ilu_engine="spilu", tol=1e-11).preprocess(medium_graph)
-        assert np.allclose(solver.query(2), exact_rwr(medium_graph, 0.05, 2), atol=1e-8)
-
 
 class TestInterface:
     def test_query_before_preprocess_raises(self):
@@ -136,8 +132,9 @@ class TestInterface:
             BePI(hub_ratio=0.0)
         with pytest.raises(InvalidParameterError):
             BePI(hub_ratio="magic")
-        with pytest.raises(InvalidParameterError):
-            BePI(ilu_engine="nonsense")
+        for engine in ("nonsense", "ilut", "spilu"):
+            with pytest.raises(InvalidParameterError):
+                BePI(ilu_engine=engine)
 
     def test_invalid_seed(self, small_graph):
         solver = BePI().preprocess(small_graph)

@@ -156,6 +156,30 @@ class TestMetrics:
     def test_metrics_missing_snapshot_errors(self, tmp_path, capsys):
         assert main(["metrics", str(tmp_path / "nope.json")]) == 2
 
+    def test_failed_refresh_leaves_previous_snapshot_whole(
+        self, graph_file, tmp_path, monkeypatch, capsys
+    ):
+        """Every ``--metrics-out`` write (the gateway rewrites its snapshot
+        every 2 s) replaces the target atomically: a write that fails part
+        way leaves the previous snapshot whole, never a truncated file."""
+        import json
+
+        from repro.telemetry import MetricsRegistry
+
+        snapshot_path = tmp_path / "snapshots" / "metrics.json"
+        argv = ["query", graph_file, "--seed", "0", "--metrics-out", str(snapshot_path)]
+        assert main(argv) == 0
+        before = snapshot_path.read_text()
+        # A lone surrogate cannot be encoded, so the write fails once begun.
+        monkeypatch.setattr(
+            MetricsRegistry, "to_json", lambda self, indent=2: '{"x": "\ud800"}'
+        )
+        with pytest.raises(UnicodeEncodeError):
+            main(argv)
+        assert snapshot_path.read_text() == before
+        assert json.loads(before)["counters"]["rwr.queries"]["value"] >= 1
+        assert [p.name for p in snapshot_path.parent.iterdir()] == ["metrics.json"]
+
     def test_build_metrics_out(self, graph_file, tmp_path, capsys):
         import json
 

@@ -6,9 +6,8 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import spilu
 
 from repro import BePI, generate_rmat
 from repro.exceptions import SingularMatrixError
@@ -18,8 +17,8 @@ from repro.linalg.ilu import (
     _diagonal_positions,
     _ensure_diagonal,
     ilu0,
-    spilu_factors,
 )
+from repro.linalg.triangular import solve_lower_triangular, solve_upper_triangular
 
 
 def reference_ilu0(matrix: sp.spmatrix) -> ILUFactors:
@@ -202,18 +201,25 @@ class TestPreconditionerQuality:
         assert cond_after <= cond_before * 1.01
 
     def test_solve_matches_reference_substitutions(self, dd_matrix):
-        from repro.linalg.triangular import (
-            solve_lower_triangular,
-            solve_upper_triangular,
-        )
+        """One sweep is exact substitution with the Neumann tail removed.
 
+        With ``L = I + L_s`` and ``U = D (I + N)``: ``(I - L_s) b`` equals
+        ``L^{-1} (b - L_s^2 b)`` and ``(I - N) D^{-1} y`` equals
+        ``U^{-1} D (y - N^2 y) / d`` exactly, so the row-by-row
+        substitutions of those right-hand sides reproduce the sweep.
+        """
         factors = ilu0(dd_matrix)
+        d = factors.u.diagonal()
+        strict_l = sp.tril(factors.l, k=-1).tocsr()
+        scaled_u = (sp.diags(1.0 / d) @ sp.triu(factors.u, k=1)).tocsr()
         b = np.random.default_rng(4).standard_normal(dd_matrix.shape[0])
-        fast = factors.solve(b)
-        slow = solve_upper_triangular(
-            factors.u, solve_lower_triangular(factors.l, b, unit_diagonal=True)
+        y = solve_lower_triangular(
+            factors.l, b - strict_l @ (strict_l @ b), unit_diagonal=True
         )
-        assert np.allclose(fast, slow)
+        z = y / d
+        slow = solve_upper_triangular(factors.u, d * (z - scaled_u @ (scaled_u @ z)))
+        fast = factors.solve(b)
+        np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
 
 
 class TestEdgeCases:
@@ -241,28 +247,62 @@ class TestEdgeCases:
         assert np.allclose(factors.solve(np.arange(5.0)), np.arange(5.0))
 
 
-class TestSpiluAdapter:
-    def test_solve_approximates_inverse(self, dd_matrix):
-        factors = spilu_factors(dd_matrix)
-        rng = np.random.default_rng(6)
-        x_true = rng.standard_normal(dd_matrix.shape[0])
-        b = dd_matrix @ x_true
-        rel = np.linalg.norm(factors.solve(b) - x_true) / np.linalg.norm(x_true)
-        assert rel < 0.5
+def dense_sweep(factors: ILUFactors, block: np.ndarray) -> np.ndarray:
+    """``(I - D^{-1} U_s) D^{-1} (I - L_s) B`` with dense matrices."""
+    lower = factors.l.toarray()
+    upper = factors.u.toarray()
+    d = np.diag(upper)
+    strict_l = np.tril(lower, -1)
+    scaled_u = np.triu(upper, 1) / d[:, None]
+    identity = np.eye(d.size)
+    inner = (identity - strict_l) @ block
+    inner = inner / (d[:, None] if block.ndim == 2 else d)
+    return (identity - scaled_u) @ inner
 
-    @pytest.mark.parametrize("width", [None, 1, ilu_module.LEVEL_SOLVE_CROSSOVER + 4])
-    def test_permuted_factors_match_superlu_solve(self, width):
-        """The stored factors plus permutations are SuperLU's own operator."""
+
+class TestJacobiSweep:
+    """:meth:`ILUFactors.solve` against the dense formula, at every width."""
+
+    @given(ilu_inputs(), st.sampled_from([None, 1, 3, 16, 40]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_formula(self, matrix, width, seed):
+        factors = _outcome(ilu0, matrix)
+        assume(not isinstance(factors, str))
+        n = matrix.shape[0]
+        shape = (n,) if width is None else (n, width)
+        block = np.random.default_rng(seed).standard_normal(shape)
+        got = factors.solve(block)
+        want = dense_sweep(factors, block)
+        assert got.shape == block.shape
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+
+    @pytest.fixture(scope="class")
+    def schur_factors(self):
         schur = BePI(use_preconditioner=False).preprocess(
             generate_rmat(10, 6000, seed=3)
         ).solver_artifacts.preprocess.schur
-        factors = spilu_factors(schur)
-        reference = spilu(sp.csc_matrix(schur))
-        assert not np.array_equal(factors.perm_r, np.arange(schur.shape[0]))
-        shape = schur.shape[0] if width is None else (schur.shape[0], width)
-        rhs = np.random.default_rng(7).standard_normal(shape)
-        want = reference.solve(rhs)
-        assert np.abs(factors.solve(rhs) - want).max() <= 1e-12 * np.abs(want).max()
+        return ilu0(schur)
+
+    def test_matches_dense_formula_on_a_schur_complement(self, schur_factors):
+        block = np.random.default_rng(7).standard_normal((schur_factors.l.shape[0], 16))
+        want = dense_sweep(schur_factors, block)
+        got = schur_factors.solve(block)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("width", [1, 15, 16, 64])
+    def test_block_columns_bit_equal_single_vectors(self, schur_factors, width):
+        factors = schur_factors
+        block = np.random.default_rng(width).standard_normal((factors.l.shape[0], width))
+        x = factors.solve(block)
+        for j in range(width):
+            assert np.array_equal(x[:, j], factors.solve(block[:, j])), j
+
+    def test_rhs_is_not_modified(self, dd_matrix):
+        factors = ilu0(dd_matrix)
+        block = np.asfortranarray(np.random.default_rng(8).standard_normal((dd_matrix.shape[0], 5)))
+        before = block.copy()
+        factors.solve(block)
+        np.testing.assert_array_equal(block, before)
 
 
 class TestProperty:

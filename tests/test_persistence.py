@@ -1,6 +1,8 @@
 """Tests for saving / loading preprocessed solvers."""
 
+import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -156,9 +158,8 @@ class TestArtifactDirectory:
             lambda: BePI(tol=1e-11),
             lambda: BePIS(tol=1e-11),
             lambda: BePI(tol=1e-11, ilu_engine="jacobi"),
-            lambda: BePI(tol=1e-11, ilu_engine="spilu"),
         ],
-        ids=["ilu", "none", "jacobi", "spilu"],
+        ids=["ilu", "none", "jacobi"],
     )
     def test_roundtrip_is_bit_equal(self, small_graph, tmp_path, make_solver):
         original = make_solver().preprocess(small_graph)
@@ -211,7 +212,7 @@ class TestArtifactDirectory:
     def test_resave_drops_arrays_of_previous_bundle(self, tmp_path):
         graph = generate_rmat(9, 4000, seed=5)
         path = tmp_path / "artifacts"
-        save_artifacts(BePI(ilu_engine="spilu").preprocess(graph), path)
+        save_artifacts(BePI().preprocess(graph), path)
         jacobi = BePI(ilu_engine="jacobi", tol=1e-11).preprocess(graph)
         save_artifacts(jacobi, path)
         manifest = json.loads((path / "manifest.json").read_text())
@@ -252,57 +253,63 @@ class TestArtifactDirectory:
             save_artifacts(BePI(), tmp_path / "artifacts")
 
 
-class TestSpiluRoundtrip:
-    """SuperLU's row and column permutations survive a round trip."""
+class TestRetiredBundles:
+    """Bundles of the removed permuted-ILU engines are refused at load."""
 
     @pytest.fixture(scope="class")
-    def spilu_solver(self):
-        return BePI(ilu_engine="spilu", tol=1e-10).preprocess(generate_rmat(11, 12000, seed=3))
+    def saved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("retired") / "artifacts"
+        solver = BePI(tol=1e-10).preprocess(generate_rmat(9, 4000, seed=5))
+        save_artifacts(solver, path)
+        return solver, path
 
-    def test_preconditioner_and_iterations_survive(self, spilu_solver, tmp_path):
-        loaded = load_solver(save_artifacts(spilu_solver, tmp_path / "saved"))
-        original_m = spilu_solver.solver_artifacts.preconditioner
-        loaded_m = loaded.solver_artifacts.preconditioner
-        assert loaded_m.perm_r is not None and loaded_m.perm_c is not None
-        rng = np.random.default_rng(0)
-        for shape in [original_m.l.shape[0], (original_m.l.shape[0], 24)]:
-            rhs = rng.standard_normal(shape)
-            want = original_m.solve(rhs)
-            assert np.abs(loaded_m.solve(rhs) - want).max() <= 1e-12 * np.abs(want).max()
-        seeds = [5, 17, 300]
-        assert np.array_equal(
-            loaded.query_many_detailed(seeds).iterations,
-            spilu_solver.query_many_detailed(seeds).iterations,
-        )
+    @staticmethod
+    def _copy(saved_path, target, edit):
+        shutil.copytree(saved_path, target)
+        manifest_path = target / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        edit(target, manifest)
+        manifest_path.write_text(json.dumps(manifest))
+        return target
 
-    def test_ilu0_artifacts_store_no_permutations(self, small_graph, tmp_path):
-        save_artifacts(BePI().preprocess(small_graph), tmp_path / "artifacts")
-        names = {p.name for p in (tmp_path / "artifacts" / "arrays").iterdir()}
-        assert not {"perm_r.npy", "perm_c.npy"} & names
+    @pytest.mark.parametrize("engine", ["ilut", "spilu"])
+    def test_retired_engine_refused(self, saved, tmp_path, engine):
+        def edit(target, manifest):
+            manifest["config"]["ilu_engine"] = engine
 
-    def test_resave_ignores_stale_permutations(self, spilu_solver, tmp_path):
-        """Saving an ILU(0) bundle over a spilu one removes the old
-        ``perm_*.npy`` files; if they are left behind anyway (a save cut
-        short between the manifest swap and the clean-up), the loader still
-        applies no permutation the manifest does not name."""
-        target = tmp_path / "saved"
-        spilu_arrays = save_artifacts(spilu_solver, tmp_path / "spilu") / "arrays"
-        save_artifacts(spilu_solver, target)
-        ilu0 = BePI(tol=1e-10).preprocess(spilu_solver.graph)
-        save_artifacts(ilu0, target)
-        assert not (target / "arrays" / "perm_r.npy").exists()
-        assert not (target / "arrays" / "perm_c.npy").exists()
-        for name in ("perm_r.npy", "perm_c.npy"):
-            (target / "arrays" / name).write_bytes((spilu_arrays / name).read_bytes())
-        loaded = load_solver(target)
-        assert loaded.solver_artifacts.preconditioner.perm_r is None
-        assert loaded.solver_artifacts.preconditioner.perm_c is None
+        path = self._copy(saved[1], tmp_path / "bundle", edit)
+        with pytest.raises(GraphFormatError, match=f"ilu_engine '{engine}'"):
+            load_artifacts(path)
+        with pytest.raises(GraphFormatError, match="no longer supported"):
+            load_solver(path)
+
+    @pytest.mark.parametrize("name", ["perm_r.npy", "perm_c.npy"])
+    def test_manifest_naming_permutations_refused(self, saved, tmp_path, name):
+        def edit(target, manifest):
+            array = target / "arrays" / name
+            np.save(array, np.arange(4))
+            manifest["checksums"][name] = hashlib.sha256(array.read_bytes()).hexdigest()
+
+        path = self._copy(saved[1], tmp_path / "bundle", edit)
+        with pytest.raises(GraphFormatError, match=name):
+            load_artifacts(path)
+
+    def test_stray_permutations_are_ignored(self, saved, tmp_path):
+        """Array files the manifest does not name (a save cut short between
+        the manifest swap and the clean-up) change nothing."""
+        solver, _ = saved
+
+        def edit(target, manifest):
+            for name in ("perm_r.npy", "perm_c.npy"):
+                np.save(target / "arrays" / name, np.arange(4))
+
+        loaded = load_solver(self._copy(saved[1], tmp_path / "bundle", edit))
         seeds = [5, 17]
         assert np.array_equal(
             loaded.query_many_detailed(seeds).iterations,
-            ilu0.query_many_detailed(seeds).iterations,
+            solver.query_many_detailed(seeds).iterations,
         )
-        assert np.array_equal(loaded.query_many(seeds), ilu0.query_many(seeds))
+        assert np.array_equal(loaded.query_many(seeds), solver.query_many(seeds))
 
 
 class TestArtifactChecksums:

@@ -11,9 +11,9 @@ for bit:
 - where the solver serves through a stateless engine (BePI, Bear, LU),
   the engine's ``query_many([s])[0]`` and ``query_topk(s, k)`` too.
 
-The exact solvers are also checked against an independent oracle: the
-residual ``‖H r - c e_s‖₁`` with ``H = I - (1-c) Ã^T`` assembled here from
-the adjacency alone.  ``‖H⁻¹‖₁ <= 1/c``, so a small residual proves a small
+The exact solvers are also checked against an independent oracle, for a
+single seed and for a 64-seed block: the residual ``‖H r - c e_s‖₁`` with
+``H = I - (1-c) Ã^T`` assembled here from the adjacency alone.  ``‖H⁻¹‖₁ <= 1/c``, so a small residual proves a small
 L1 error without a second solver.
 
 Graphs come from every family in :mod:`repro.graph.generators`, with
@@ -129,11 +129,20 @@ def check_paths_agree(solver, seed: int, k: int) -> np.ndarray:
 def test_exact_solver_paths_agree_and_meet_oracle(name, graph, data):
     seed = data.draw(st.integers(min_value=0, max_value=graph.n_nodes - 1), label="seed")
     k = data.draw(st.integers(min_value=1, max_value=8), label="k")
+    block = data.draw(
+        st.lists(st.integers(min_value=0, max_value=graph.n_nodes - 1), min_size=64, max_size=64),
+        label="block",
+    )
     solver = EXACT_SOLVERS[name]().preprocess(graph)
+    h = oracle_h(graph.adjacency, C)
     scores = check_paths_agree(solver, seed, k)
-    residual = oracle_h(graph.adjacency, C) @ scores
+    residual = h @ scores
     residual[seed] -= C
     assert np.abs(residual).sum() <= RESIDUAL_L1
+    # A 64-wide block: BePI applies its preconditioner to all columns at once.
+    residuals = h @ solver.query_many(block).T
+    residuals[block, np.arange(len(block))] -= C
+    assert np.abs(residuals).sum(axis=0).max() <= RESIDUAL_L1
 
 
 @pytest.mark.parametrize("name", sorted(APPROXIMATE_SOLVERS))
