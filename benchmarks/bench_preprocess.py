@@ -13,16 +13,16 @@ Measures what the staged pipeline buys:
   versus ``n_jobs=1`` (the speed-up assertion only applies on multi-CPU
   hosts; results are bit-identical regardless).
 - **build stages**: the seconds of each stage of one BePI preprocess,
-  ending with ``ilu_seconds`` for the ILU(0) preconditioner.
+  ending with ``ilu_seconds`` for the SGS preconditioner.
 
 Run modes
 ---------
 ``--smoke``
     Small graph; checks the *structural* wins (the deadend stage runs
     exactly once per sweep, no winner rebuild) and bit-identity of the
-    staged / parallel paths, and ILU(0)'s defining property
-    ``(L2 U2)_ij = S_ij`` on the Schur complement's pattern.  Fast enough
-    for CI.
+    staged / parallel paths, and the SGS factors' defining property
+    ``tril(L2, -1) D + U2 = S`` (the factors are ``S``'s own entries).
+    Fast enough for CI.
 default (full)
     Scale-13 R-MAT; times legacy-emulated auto-``k`` against the staged
     sweep (asserts >= 1.5x), the parallel block factorization, and the
@@ -181,14 +181,14 @@ def run_smoke() -> None:
     _assert_artifacts_equal(direct, parallel)
     print("smoke: n_jobs=4 build bit-matches n_jobs=1 build")
 
-    # 5. ILU(0)'s defining property: L2 U2 reproduces S on S's own pattern.
-    schur = fixed_solver.solver_artifacts.preprocess.schur.tocoo()
+    # 5. The SGS factors' defining property: L2 = I + tril(S, -1) D^{-1} and
+    #    U2 = triu(S), so tril(L2, -1) D + U2 reproduces S.
+    schur = fixed_solver.solver_artifacts.preprocess.schur
     factors = fixed_solver.ilu_factors
-    product = (factors.l @ factors.u).tocsr()
-    on_pattern = np.asarray(product[schur.row, schur.col]).ravel()
-    error = np.abs(on_pattern - schur.data).max(initial=0.0)
-    assert error <= 1e-12, f"(L2 U2)_ij deviates from S_ij by {error:.3g} on S's pattern"
-    print(f"smoke: (L2 U2)_ij = S_ij on S's pattern ({schur.nnz:,} entries, "
+    rebuilt = sp.tril(factors.l, k=-1) @ sp.diags(factors.u.diagonal()) + factors.u
+    error = abs(rebuilt - schur).max()
+    assert error <= 1e-12, f"tril(L2, -1) D + U2 deviates from S by {error:.3g}"
+    print(f"smoke: tril(L2, -1) D + U2 = S ({schur.nnz:,} entries, "
           f"max error {error:.1e})")
 
 

@@ -20,7 +20,7 @@ Package map
 - :mod:`repro.baselines` — Bear, LU, GMRES, power iteration, dense inverse,
 - :mod:`repro.graph` — graph container, generators, I/O, components,
 - :mod:`repro.reorder` — deadend + SlashBurn hub-and-spoke reordering,
-- :mod:`repro.linalg` — GMRES, ILU(0), triangular solves, block LU,
+- :mod:`repro.linalg` — GMRES, the SGS preconditioner, triangular solves, block LU,
 - :mod:`repro.datasets` — seeded stand-ins for the paper's datasets,
 - :mod:`repro.applications` — ranking, link prediction, community detection,
 - :mod:`repro.bench` — experiment harness and memory accounting,

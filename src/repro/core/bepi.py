@@ -9,7 +9,7 @@ variant   hub ratio policy                          preconditioner
 ========  =======================================  ==================
 BePI-B    small ``k`` (concentrate non-zeros)       none
 BePI-S    ``k`` minimizing ``|S|`` (Section 3.4)    none
-BePI      ``k`` minimizing ``|S|``                  ILU(0) (Sec. 3.5)
+BePI      ``k`` minimizing ``|S|``                  SGS factors of ``S``
 ========  =======================================  ==================
 
 The query phase follows Algorithm 4 exactly: a (preconditioned) GMRES solve
@@ -37,7 +37,7 @@ from repro.exceptions import (
     SingularMatrixError,
 )
 from repro.graph.graph import Graph
-from repro.linalg.ilu import ILUFactors, ilu0
+from repro.linalg.ilu import ILUFactors, sgs_factors
 from repro.linalg.preconditioners import JacobiPreconditioner
 from repro.parallel import resolve_n_jobs
 
@@ -53,7 +53,7 @@ DEFAULT_SMALL_HUB_RATIO = 0.05
 DEFAULT_SPARSE_HUB_RATIO = 0.2
 
 #: Accepted ``ilu_engine`` values.
-ILU_ENGINES = ("ilu0", "jacobi")
+ILU_ENGINES = ("sgs", "jacobi")
 
 
 class BePI(RWRSolver):
@@ -73,9 +73,10 @@ class BePI(RWRSolver):
         Precompute a preconditioner for ``S`` and run preconditioned GMRES
         (Section 3.5).  Disable to obtain BePI-S behaviour.
     ilu_engine:
-        Preconditioner engine: ``"ilu0"`` for the from-scratch ILU(0) (the
-        paper's choice, default), or ``"jacobi"`` for the cheap diagonal
-        preconditioner (ablation lower bar).
+        Preconditioner engine: ``"sgs"`` (default) for the symmetric
+        Gauss–Seidel factors of ``S``, which stand in for the paper's
+        ILU(0) (see :mod:`repro.linalg.ilu`), or ``"jacobi"`` for the cheap
+        diagonal preconditioner (ablation lower bar).
     iterative_method:
         Krylov solver for the Schur system: ``"gmres"`` (the paper's
         choice, default) or ``"bicgstab"`` (Section 2.2 notes any
@@ -132,7 +133,7 @@ class BePI(RWRSolver):
         tol: float = 1e-9,
         hub_ratio: HubRatio = DEFAULT_SPARSE_HUB_RATIO,
         use_preconditioner: bool = True,
-        ilu_engine: str = "ilu0",
+        ilu_engine: str = "sgs",
         iterative_method: str = "gmres",
         gmres_restart: Optional[int] = None,
         max_iterations: Optional[int] = None,
@@ -154,7 +155,7 @@ class BePI(RWRSolver):
             )
         if ilu_engine not in ILU_ENGINES:
             raise InvalidParameterError(
-                f"ilu_engine must be 'ilu0' or 'jacobi', got {ilu_engine!r}"
+                f"ilu_engine must be 'sgs' or 'jacobi', got {ilu_engine!r}"
             )
         if iterative_method not in ("gmres", "bicgstab"):
             raise InvalidParameterError(
@@ -220,12 +221,12 @@ class BePI(RWRSolver):
         if self.use_preconditioner and artifacts.schur.shape[0] > 0:
             start = time.perf_counter()
             try:
-                if self.ilu_engine == "ilu0":
-                    self._ilu = ilu0(artifacts.schur)
+                if self.ilu_engine == "sgs":
+                    self._ilu = sgs_factors(artifacts.schur)
                 else:
                     self._ilu = JacobiPreconditioner(artifacts.schur)
             except (SingularMatrixError, RuntimeError):
-                # Incomplete-factorization breakdown (a zero pivot, or any
+                # Factor breakdown (a zero diagonal entry of S, or any
                 # other factorizer error): degrade to the Jacobi diagonal, and to
                 # no preconditioner at all if even that is singular.  GMRES
                 # still converges, just on the unpreconditioned Fig. 6
@@ -297,8 +298,9 @@ class BePI(RWRSolver):
         Called at the end of :meth:`_preprocess` and by the persistence
         loaders, so a loaded solver ends up in exactly the state a freshly
         preprocessed one would.  Retained matrices are exactly the output
-        list of Algorithm 3: L1^{-1}, U1^{-1}, S, (L2, U2,) H12, H21, H31,
-        H32.
+        list of Algorithm 3: L1^{-1}, U1^{-1}, S, H12, H21, H31, H32, plus
+        the strict parts of the SGS factors derived from ``S`` (as
+        ``L2``/``U2``), which the bundle does not store.
         """
         artifacts = bundle.preprocess
         self._artifacts = artifacts
@@ -312,8 +314,9 @@ class BePI(RWRSolver):
         self._retain("H31", artifacts.blocks["H31"])
         self._retain("H32", artifacts.blocks["H32"])
         if isinstance(self._ilu, ILUFactors):
-            self._retain("L2", self._ilu.l)
-            self._retain("U2", self._ilu.u)
+            _, lower, upper = self._ilu._parts
+            self._retain("L2", lower)
+            self._retain("U2", upper)
         elif self._ilu is not None:  # Jacobi: one value per row of S
             self._retain("M_diag", self._ilu._inv_diag)
 
@@ -354,7 +357,7 @@ class BePI(RWRSolver):
 
     @property
     def ilu_factors(self) -> Optional[ILUFactors]:
-        """The ILU(0) preconditioner factors, if any."""
+        """The SGS preconditioner factors of ``S``, if any."""
         return self._ilu
 
 

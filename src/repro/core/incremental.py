@@ -19,9 +19,9 @@ as a *correction* instead:
   correction ``S' = S + ΔH22 − Σ_b (C'_b − C_b)`` where
   ``C_b = H21[:,b] H11[b]^{-1} H12[b,:]``, instead of re-solving all of
   ``H11^{-1} H12``,
-- the (incomplete-factorization) preconditioner of the old Schur
-  complement is carried over — it only preconditions, so accuracy is
-  unaffected; GMRES merely takes a few extra iterations as ``S`` drifts.
+- the preconditioner is rebuilt from the updated ``S`` (the SGS factors
+  cost one pass over ``S``), so every generation is preconditioned by the
+  factors of its own Schur complement.
 
 Error bound
 -----------
@@ -67,6 +67,8 @@ from repro.core.pipeline import PreprocessArtifacts
 from repro.exceptions import GraphFormatError, InvalidParameterError
 from repro.graph.graph import Graph
 from repro.linalg.block_lu import BlockDiagonalLU, factorize_block_diagonal
+from repro.linalg.ilu import ILUFactors, sgs_factors
+from repro.linalg.preconditioners import JacobiPreconditioner
 from repro.linalg.rwr_matrix import build_h_matrix, partition_h
 
 Edge = Tuple[int, int]
@@ -227,8 +229,6 @@ class IncrementalResult:
     timings:
         Per-stage breakdown (``build_h``, ``classify``, ``refactorize``,
         ``schur_correction``).
-    preconditioner_reused:
-        Whether the parent's Schur preconditioner was carried over.
     """
 
     bundle: SolverArtifacts
@@ -237,7 +237,6 @@ class IncrementalResult:
     n_blocks: int
     seconds: float = 0.0
     timings: Dict[str, float] = field(default_factory=dict)
-    preconditioner_reused: bool = True
 
     @property
     def exact(self) -> bool:
@@ -458,11 +457,7 @@ def incremental_update(
         config=dict(bundle.config),
         graph=new_graph,
         preprocess=new_pre,
-        # The parent's (incomplete) factorization still preconditions the
-        # drifted S — accuracy is governed by the GMRES tolerance alone, so
-        # carrying it over trades a few Krylov iterations for skipping the
-        # single most expensive preprocessing stage.
-        preconditioner=bundle.preconditioner,
+        preconditioner=_rebuilt_preconditioner(bundle.preconditioner, schur),
     )
     return IncrementalResult(
         bundle=new_bundle,
@@ -471,8 +466,16 @@ def incremental_update(
         n_blocks=int(block_sizes.size),
         seconds=time.perf_counter() - started,
         timings=timings,
-        preconditioner_reused=bundle.preconditioner is not None,
     )
+
+
+def _rebuilt_preconditioner(previous: Any, schur: sp.csr_matrix) -> Any:
+    """A preconditioner of the parent's kind, built for the updated ``S``."""
+    if isinstance(previous, ILUFactors):
+        return sgs_factors(schur)
+    if isinstance(previous, JacobiPreconditioner):
+        return JacobiPreconditioner(schur)
+    return None
 
 
 def _splice(

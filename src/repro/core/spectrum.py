@@ -2,7 +2,8 @@
 
 The paper explains BePI's fast GMRES convergence through the eigenvalue
 distribution of the preconditioned system: ILU(0) pulls the spectrum into
-a tight cluster around 1.  This module computes those spectra for a
+a tight cluster around 1, and so do the SGS factors that stand in for it
+here (:mod:`repro.linalg.ilu`).  This module computes those spectra for a
 preprocessed solver so users (and the Figure 7 bench) can inspect the
 effect directly.
 """

@@ -1736,6 +1736,8 @@ class _WireServer:
         self.host = host
         self.port = int(port)
         self._server: Optional[asyncio.base_events.Server] = None
+        #: One task per open connection, so :meth:`close` can end them.
+        self._connections: set = set()
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -1757,10 +1759,19 @@ class _WireServer:
             await self._server.serve_forever()
 
     async def close(self) -> None:
+        """Stop accepting, then end every open connection's handler.
+
+        Left running, the handlers would be cancelled by the event loop's
+        teardown instead, after the server and its pool are gone.
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        handlers = list(self._connections)
+        for task in handlers:
+            task.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
 
     async def __aenter__(self):
         return await self.start()
@@ -1771,6 +1782,8 @@ class _WireServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             while True:
                 try:
@@ -1788,11 +1801,17 @@ class _WireServer:
                 await wire.write_message(writer, reply)
         except (ConnectionError, OSError):  # peer vanished mid-reply
             pass
+        except asyncio.CancelledError:
+            # The server is closing.  The handler is a top-level task that
+            # nothing awaits, so it ends normally: asyncio's stream callback
+            # would otherwise report the cancellation as an error.
+            pass
         finally:
+            self._connections.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
-            except OSError:  # pragma: no cover - peer already gone
+            except (OSError, asyncio.CancelledError):  # peer gone, or closing
                 pass
 
     async def _answer(self, request: wire.Request) -> wire.Reply:

@@ -6,7 +6,7 @@ Contains everything the paper's Algorithms 1-5 need:
 - block-diagonal LU inversion of ``H11`` (:mod:`repro.linalg.block_lu`),
 - GMRES with optional left preconditioning, Arnoldi + Givens rotations
   (:mod:`repro.linalg.gmres`),
-- ILU(0) incomplete factorization (:mod:`repro.linalg.ilu`),
+- the Schur preconditioner, SGS factors of ``S`` (:mod:`repro.linalg.ilu`),
 - reference sparse triangular solves (:mod:`repro.linalg.triangular`),
 - power iteration (:mod:`repro.linalg.power`).
 
@@ -24,7 +24,7 @@ from repro.linalg.gmres import (
     gmres,
     gmres_multi,
 )
-from repro.linalg.ilu import ILUFactors, ilu0
+from repro.linalg.ilu import ILUFactors, sgs_factors
 from repro.linalg.power import PowerResult, power_iteration
 from repro.linalg.preconditioners import JacobiPreconditioner
 from repro.linalg.rwr_matrix import (
@@ -47,10 +47,10 @@ __all__ = [
     "factorize_block_diagonal",
     "gmres",
     "gmres_multi",
-    "ilu0",
     "partition_h",
     "power_iteration",
     "row_normalize",
+    "sgs_factors",
     "solve_lower_triangular",
     "solve_upper_triangular",
 ]

@@ -1,4 +1,4 @@
-"""Simple preconditioners beyond ILU(0).
+"""Simple preconditioners beyond the SGS factors of :mod:`repro.linalg.ilu`.
 
 Section 3.5 of the paper picks ILU because the factors are cheap and
 effective; it cites Jacobi-style and sparse-approximate-inverse schemes as

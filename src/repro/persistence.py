@@ -75,14 +75,17 @@ def _preconditioner_kind(preconditioner: Any) -> str:
 
 
 #: Prefix of the row/column permutation arrays that the removed permuting
-#: (SuperLU) ILU engine stored.  ILU factors are now applied by a Jacobi
-#: sweep that is sound only for unpermuted ILU(0) factors on ``S``'s own
-#: pattern, so a bundle naming such an array is refused.
+#: (SuperLU) ILU engine stored.  The preconditioner is now derived from
+#: ``S`` itself, unpermuted, so a bundle naming such an array is refused.
 _PERMUTATION_PREFIX = "perm_"
 
 
 def _refuse_retired_bundle(root: Path, manifest: Dict[str, Any]) -> None:
-    """Raise :class:`GraphFormatError` for a bundle this version cannot apply."""
+    """Raise :class:`GraphFormatError` for a bundle this version cannot apply.
+
+    That includes ``ilu0`` bundles: their stored ILU(0) factors are not the
+    preconditioner this version derives from ``S``.
+    """
     engine = manifest["config"].get("ilu_engine")
     if engine not in ILU_ENGINES:
         raise GraphFormatError(
@@ -212,11 +215,9 @@ def save_artifacts(
     for block in _STORED_BLOCKS:
         write_csr(block, artifacts.blocks[block])
 
+    # SGS factors are derived from S at load, so only Jacobi stores one.
     kind = _preconditioner_kind(bundle.preconditioner)
-    if kind == "ilu":
-        write_csr("L2", bundle.preconditioner.l)
-        write_csr("U2", bundle.preconditioner.u)
-    elif kind == "jacobi":
+    if kind == "jacobi":
         write_dense("M_diag", bundle.preconditioner.inverse_diagonal)
 
     manifest = {
@@ -341,7 +342,7 @@ def load_artifacts(
 
     preconditioner = None
     if manifest["preconditioner_kind"] == "ilu":
-        preconditioner = ILUFactors(l=read_csr("L2"), u=read_csr("U2"))
+        preconditioner = ILUFactors(schur)
     elif manifest["preconditioner_kind"] == "jacobi":
         preconditioner = JacobiPreconditioner.from_inverse_diagonal(read("M_diag"))
 

@@ -132,7 +132,7 @@ class TestInterface:
             BePI(hub_ratio=0.0)
         with pytest.raises(InvalidParameterError):
             BePI(hub_ratio="magic")
-        for engine in ("nonsense", "ilut", "spilu"):
+        for engine in ("nonsense", "ilut", "spilu", "ilu0"):
             with pytest.raises(InvalidParameterError):
                 BePI(ilu_engine=engine)
 

@@ -203,7 +203,7 @@ class TestPreconditionerBuildFallback:
         def broken_ilu(*args, **kwargs):
             raise RuntimeError("synthetic factorization breakdown")
 
-        monkeypatch.setattr(bepi_module, "ilu0", broken_ilu)
+        monkeypatch.setattr(bepi_module, "sgs_factors", broken_ilu)
         with pytest.warns(ConvergenceWarning, match="falling back"):
             solver = BePI(tol=1e-10, hub_ratio=0.3).preprocess(small_graph)
         assert solver.stats["preconditioner_fallback"] == "jacobi"

@@ -16,6 +16,7 @@ from repro.gateway import (
     Overloaded,
     PoolServer,
     RemoteBackend,
+    _WireServer,
     parse_endpoint,
 )
 from repro.persistence import save_artifacts
@@ -637,3 +638,42 @@ class TestGatewayValidation:
                 await gateway.query(0)
 
         asyncio.run(scenario())
+
+
+class TestServerClose:
+    def test_close_ends_open_connection_handlers(self):
+        """Closing a wire server ends the handlers of its open connections,
+        an idle one and one with a request in flight, normally: no task is
+        left for the event loop's teardown to cancel, nothing reaches the
+        loop's exception handler, and each client reads end-of-stream."""
+
+        class SlowServer(_WireServer):
+            async def _answer(self, request):
+                self.answering.set()
+                await asyncio.sleep(60)
+
+        async def scenario():
+            reported = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context)
+            )
+            server = SlowServer()
+            server.answering = asyncio.Event()
+            await server.start()
+            idle = await asyncio.open_connection(*server.address)
+            busy = await asyncio.open_connection(*server.address)
+            await wire.write_message(busy[1], wire.StatsRequest())
+            await server.answering.wait()
+            await server.close()
+            left = [t for t in asyncio.all_tasks() if t is not asyncio.current_task()]
+            ends = []
+            for reader, writer in (idle, busy):
+                ends.append(await asyncio.wait_for(reader.read(), 10))
+                writer.close()
+                await writer.wait_closed()
+            return left, reported, ends
+
+        left, reported, ends = asyncio.run(scenario())
+        assert left == []
+        assert reported == []
+        assert ends == [b"", b""]

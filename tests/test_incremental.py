@@ -235,7 +235,8 @@ class TestIncrementalUpdate:
         assert (new_pre.n1, new_pre.n2, new_pre.n3) == (
             old_pre.n1, old_pre.n2, old_pre.n3,
         )
-        assert result.bundle.preconditioner is solver.solver_artifacts.preconditioner
+        # The preconditioner is not reused: it is rebuilt from the new S.
+        assert (result.bundle.preconditioner.matrix != new_pre.schur).nnz == 0
 
     def test_untouched_factors_bit_identical(self, solver, graph):
         """Blocks whose columns did not change keep their inverted factors
@@ -466,3 +467,46 @@ class TestBackgroundRebuild:
         assert dyn.wait_for_rebuild(timeout=180)
         assert dyn.n_skipped_rebuilds == 1
         assert dyn.n_background_swaps == 0
+
+
+class TestFreshPreconditioner:
+    """Every generation is preconditioned by the SGS factors of its own S."""
+
+    @staticmethod
+    def _assert_same_factors(got, want):
+        d, lower, upper = got._parts
+        assert np.array_equal(d, want._parts[0])
+        for a, b in zip((lower, upper), want._parts[1:]):
+            assert a.shape == b.shape
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    def test_pool_matches_in_process_after_random_updates(self, graph, tmp_path):
+        from repro.linalg.ilu import sgs_factors
+        from repro.persistence import load_artifacts
+        from repro.serve import WorkerPool
+
+        store = ArtifactStore(tmp_path)
+        store.publish(BePI(tol=1e-11).preprocess(graph))
+        dyn = DynamicRWR.from_store(store)
+        rng = np.random.default_rng(11)
+        seeds = [0, 7, 40, 99, 200]
+        with WorkerPool(store.root, n_workers=1, timeout=120) as pool:
+            for _ in range(3):
+                edges = dyn.graph.edges()
+                picked = edges[rng.choice(len(edges), size=6, replace=False)]
+                reweighted = [tuple(map(int, e)) for e in picked[:4]]
+                dyn.add_edges(reweighted, weights=rng.uniform(0.5, 3.0, size=4).tolist())
+                dyn.remove_edges([tuple(map(int, e)) for e in picked[4:]])
+                new = rng.integers(0, graph.n_nodes, size=(3, 2))
+                dyn.add_edges([tuple(map(int, e)) for e in new if e[0] != e[1]])
+                dyn.rebuild()
+                assert pool.refresh_generation() == store.current_path().name
+                assert np.array_equal(dyn.query_many(seeds), pool.query_many(seeds))
+
+                served = load_artifacts(store.current_path())
+                own = sgs_factors(served.preprocess.schur)
+                self._assert_same_factors(served.preconditioner, own)
+                in_process = dyn.solver.solver_artifacts
+                self._assert_same_factors(in_process.preconditioner, own)
+        assert store.current_path().name == "gen-000004"

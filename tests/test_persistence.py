@@ -212,18 +212,18 @@ class TestArtifactDirectory:
     def test_resave_drops_arrays_of_previous_bundle(self, tmp_path):
         graph = generate_rmat(9, 4000, seed=5)
         path = tmp_path / "artifacts"
-        save_artifacts(BePI().preprocess(graph), path)
-        jacobi = BePI(ilu_engine="jacobi", tol=1e-11).preprocess(graph)
-        save_artifacts(jacobi, path)
+        save_artifacts(BePI(ilu_engine="jacobi", tol=1e-11).preprocess(graph), path)
+        sgs = BePI(tol=1e-11).preprocess(graph)
+        save_artifacts(sgs, path)
         manifest = json.loads((path / "manifest.json").read_text())
         on_disk = {f.name for f in (path / "arrays").iterdir()}
         assert on_disk == set(manifest["checksums"])
-        assert not any(name.startswith(("L2.", "U2.")) for name in on_disk)
+        assert "M_diag.npy" not in on_disk
         assert artifact_nbytes(path) == sum(
             (path / "arrays" / name).stat().st_size for name in on_disk
         )
         loaded = load_solver(path)
-        assert np.array_equal(loaded.query(3), jacobi.query(3))
+        assert np.array_equal(loaded.query(3), sgs.query(3))
 
     def test_loaded_stats_and_config(self, small_graph, tmp_path):
         original = BePI(c=0.1, tol=1e-8, hub_ratio=0.3).preprocess(small_graph)
@@ -254,7 +254,7 @@ class TestArtifactDirectory:
 
 
 class TestRetiredBundles:
-    """Bundles of the removed permuted-ILU engines are refused at load."""
+    """Bundles of removed preconditioner engines are refused at load."""
 
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
@@ -272,7 +272,7 @@ class TestRetiredBundles:
         manifest_path.write_text(json.dumps(manifest))
         return target
 
-    @pytest.mark.parametrize("engine", ["ilut", "spilu"])
+    @pytest.mark.parametrize("engine", ["ilut", "spilu", "ilu0"])
     def test_retired_engine_refused(self, saved, tmp_path, engine):
         def edit(target, manifest):
             manifest["config"]["ilu_engine"] = engine
@@ -281,6 +281,23 @@ class TestRetiredBundles:
         with pytest.raises(GraphFormatError, match=f"ilu_engine '{engine}'"):
             load_artifacts(path)
         with pytest.raises(GraphFormatError, match="no longer supported"):
+            load_solver(path)
+
+    def test_ilu0_bundle_refused_before_any_array_is_read(self, saved, tmp_path):
+        """An ``ilu0`` bundle stores ILU(0) factors this version would not
+        apply; its manifest alone refuses it, even with no arrays on disk."""
+        def edit(target, manifest):
+            manifest["config"]["ilu_engine"] = "ilu0"
+            for name in ("L2", "U2"):
+                for part in ("data", "indices", "indptr"):
+                    manifest["checksums"][f"{name}.{part}.npy"] = "0" * 64
+                manifest["csr_shapes"][name] = manifest["csr_shapes"]["S"]
+            shutil.rmtree(target / "arrays")
+
+        path = self._copy(saved[1], tmp_path / "bundle", edit)
+        with pytest.raises(GraphFormatError, match="ilu_engine 'ilu0'"):
+            load_artifacts(path)
+        with pytest.raises(GraphFormatError, match="ilu_engine 'ilu0'"):
             load_solver(path)
 
     @pytest.mark.parametrize("name", ["perm_r.npy", "perm_c.npy"])
