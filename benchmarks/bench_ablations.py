@@ -85,7 +85,7 @@ def test_ablation_preconditioner(benchmark, query_seeds, precond):
     if precond == "none":
         solver = BePIS(c=RESTART_PROBABILITY, tol=TOLERANCE)
     else:
-        solver = BePI(c=RESTART_PROBABILITY, tol=TOLERANCE, ilu_engine=precond)
+        solver = BePI(c=RESTART_PROBABILITY, tol=TOLERANCE)
     solver.preprocess(graph)
     seeds = query_seeds(DATASET, 10)
     state = {"i": 0, "iterations": []}
@@ -138,31 +138,3 @@ def test_ablation_gmres_engine(benchmark):
     print(f"\nnative GMRES iterations {native.n_iterations}, "
           f"relative diff vs scipy {rel:.2e}")
     assert rel < 1e-6
-
-
-@pytest.mark.parametrize("method", ["gmres", "bicgstab"])
-def test_ablation_iterative_method(benchmark, query_seeds, method):
-    """GMRES (the paper's choice) vs BiCGSTAB on the same preconditioned
-    Schur system — Section 2.2 says any non-symmetric Krylov method works;
-    this quantifies the choice."""
-    graph = build_dataset(DATASET)
-    solver = BePI(c=RESTART_PROBABILITY, tol=TOLERANCE,
-                  iterative_method=method).preprocess(graph)
-    seeds = query_seeds(DATASET, 10)
-    state = {"i": 0, "iterations": []}
-
-    def one_query():
-        seed = int(seeds[state["i"] % len(seeds)])
-        state["i"] += 1
-        state["iterations"].append(solver.query_detailed(seed).iterations)
-
-    benchmark.pedantic(one_query, rounds=5, iterations=1, warmup_rounds=1)
-    mean_iters = float(np.mean(state["iterations"]))
-    record_result("ablation_iterative_method", {
-        "iterative_method": method,
-        "avg_iterations": mean_iters,
-        "avg_query_seconds": benchmark.stats.stats.mean,
-    })
-    print(f"\niterative_method={method}: avg iterations {mean_iters:.1f}")
-    # Both must converge quickly on the preconditioned system.
-    assert mean_iters < 25

@@ -314,8 +314,7 @@ def _section_ablations(lines: List[str]) -> None:
     hub = _load("ablation_hub_selection")
     pre = _load("ablation_preconditioner")
     eng = _load("ablation_gmres_engine")
-    krylov = _load("ablation_iterative_method")
-    if not (dead or hub or pre or eng or krylov):
+    if not (dead or hub or pre or eng):
         return
     lines.append("## Ablations (not in the paper)\n")
     if dead:
@@ -341,11 +340,6 @@ def _section_ablations(lines: List[str]) -> None:
         r = eng[-1]
         lines.append(f"- **Native GMRES vs scipy**: identical solutions "
                      f"(relative difference {r['relative_difference_vs_scipy']:.1e}).")
-    if krylov:
-        parts = ", ".join(f"{r['iterative_method']}: {r['avg_iterations']:.1f}"
-                          for r in krylov)
-        lines.append(f"- **Krylov method** (avg iterations; BiCGSTAB does two "
-                     f"matvecs per iteration): {parts}.")
     lines.append("")
 
 

@@ -21,7 +21,6 @@ scores ``r3``.
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -31,14 +30,9 @@ from repro.core.base import RWRSolver
 from repro.core.engine import BePIQueryEngine, SolverArtifacts
 from repro.core.hub_ratio import DEFAULT_CANDIDATES, select_hub_ratio
 from repro.core.pipeline import PreprocessArtifacts, build_artifacts
-from repro.exceptions import (
-    ConvergenceWarning,
-    InvalidParameterError,
-    SingularMatrixError,
-)
+from repro.exceptions import InvalidParameterError
 from repro.graph.graph import Graph
 from repro.linalg.ilu import ILUFactors, sgs_factors
-from repro.linalg.preconditioners import JacobiPreconditioner
 from repro.parallel import resolve_n_jobs
 
 HubRatio = Union[float, str]
@@ -51,9 +45,6 @@ DEFAULT_SMALL_HUB_RATIO = 0.05
 
 #: Default sparsifying ratio: the paper selects 0.2-0.3 for every dataset.
 DEFAULT_SPARSE_HUB_RATIO = 0.2
-
-#: Accepted ``ilu_engine`` values.
-ILU_ENGINES = ("sgs", "jacobi")
 
 
 class BePI(RWRSolver):
@@ -70,28 +61,19 @@ class BePI(RWRSolver):
         sweep :data:`~repro.core.hub_ratio.DEFAULT_CANDIDATES` and pick the
         ``|S|``-minimizing value (the BePI-S policy, Section 3.4).
     use_preconditioner:
-        Precompute a preconditioner for ``S`` and run preconditioned GMRES
-        (Section 3.5).  Disable to obtain BePI-S behaviour.
-    ilu_engine:
-        Preconditioner engine: ``"sgs"`` (default) for the symmetric
-        Gauss–Seidel factors of ``S``, which stand in for the paper's
-        ILU(0) (see :mod:`repro.linalg.ilu`), or ``"jacobi"`` for the cheap
-        diagonal preconditioner (ablation lower bar).
-    iterative_method:
-        Krylov solver for the Schur system: ``"gmres"`` (the paper's
-        choice, default) or ``"bicgstab"`` (Section 2.2 notes any
-        non-symmetric Krylov method applies).
+        Precompute the symmetric Gauss–Seidel factors of ``S``, which stand
+        in for the paper's ILU(0) (see :mod:`repro.linalg.ilu`), and run
+        preconditioned GMRES (Section 3.5).  Disable to obtain BePI-S
+        behaviour.
     gmres_restart:
         Restart length for GMRES; ``None`` = full GMRES (the paper's
-        setting — iteration counts stay below ~70, Table 4).  Ignored by
-        BiCGSTAB.
+        setting — iteration counts stay below ~70, Table 4).
     max_iterations:
-        Iteration budget for the Schur solve (default: its dimension).
-    fallback_chain:
-        Degrade through GMRES(Jacobi) → BiCGSTAB → power iteration when the
-        configured Schur solve fails to converge (default on; see
-        :class:`~repro.core.engine.BePIQueryEngine`).  Disable to surface
-        raw convergence failures (ablations, Fig. 6-7 iteration studies).
+        Iteration budget of the Schur solve, GMRES and its safety net
+        together.  By default GMRES may take ``S``'s dimension and the
+        power rung then finishes any column GMRES leaves unconverged (see
+        :class:`~repro.core.engine.BePIQueryEngine`); an explicit budget
+        leaves the rung only the steps GMRES did not spend.
     memory_budget:
         Optional byte cap on preprocessed data.
     deadend_reorder:
@@ -133,11 +115,8 @@ class BePI(RWRSolver):
         tol: float = 1e-9,
         hub_ratio: HubRatio = DEFAULT_SPARSE_HUB_RATIO,
         use_preconditioner: bool = True,
-        ilu_engine: str = "sgs",
-        iterative_method: str = "gmres",
         gmres_restart: Optional[int] = None,
         max_iterations: Optional[int] = None,
-        fallback_chain: bool = True,
         memory_budget: Optional[MemoryBudget] = None,
         deadend_reorder: bool = True,
         hub_selection: str = "slashburn",
@@ -153,31 +132,19 @@ class BePI(RWRSolver):
             raise InvalidParameterError(
                 f"hub_ratio must be in (0, 1], got {hub_ratio}"
             )
-        if ilu_engine not in ILU_ENGINES:
-            raise InvalidParameterError(
-                f"ilu_engine must be 'sgs' or 'jacobi', got {ilu_engine!r}"
-            )
-        if iterative_method not in ("gmres", "bicgstab"):
-            raise InvalidParameterError(
-                f"iterative_method must be 'gmres' or 'bicgstab', "
-                f"got {iterative_method!r}"
-            )
         if hub_selection not in ("slashburn", "degree"):
             raise InvalidParameterError(
                 f"hub_selection must be 'slashburn' or 'degree', got {hub_selection!r}"
             )
         self.hub_ratio = hub_ratio
         self.use_preconditioner = use_preconditioner
-        self.ilu_engine = ilu_engine
-        self.iterative_method = iterative_method
         self.gmres_restart = gmres_restart
         self.max_iterations = max_iterations
-        self.fallback_chain = fallback_chain
         self.deadend_reorder = deadend_reorder
         self.hub_selection = hub_selection
         self.n_jobs = resolve_n_jobs(n_jobs)
         self._artifacts: Optional[PreprocessArtifacts] = None
-        self._ilu = None  # ILUFactors or JacobiPreconditioner
+        self._ilu: Optional[ILUFactors] = None
         self._engine: Optional[BePIQueryEngine] = None
 
     # ------------------------------------------------------------------
@@ -217,33 +184,11 @@ class BePI(RWRSolver):
 
         self._ilu = None
         ilu_seconds = 0.0
-        preconditioner_fallback = None
         if self.use_preconditioner and artifacts.schur.shape[0] > 0:
+            # No fallback: S of an RWR system has a positive diagonal
+            # (DESIGN.md §8), the one thing the SGS factors need.
             start = time.perf_counter()
-            try:
-                if self.ilu_engine == "sgs":
-                    self._ilu = sgs_factors(artifacts.schur)
-                else:
-                    self._ilu = JacobiPreconditioner(artifacts.schur)
-            except (SingularMatrixError, RuntimeError):
-                # Factor breakdown (a zero diagonal entry of S, or any
-                # other factorizer error): degrade to the Jacobi diagonal, and to
-                # no preconditioner at all if even that is singular.  GMRES
-                # still converges, just on the unpreconditioned Fig. 6
-                # iteration counts.
-                try:
-                    self._ilu = JacobiPreconditioner(artifacts.schur)
-                    preconditioner_fallback = "jacobi"
-                except SingularMatrixError:
-                    self._ilu = None
-                    preconditioner_fallback = "none"
-                warnings.warn(
-                    f"{self.ilu_engine} factorization of the Schur complement "
-                    f"broke down; falling back to "
-                    f"{preconditioner_fallback!r} preconditioning",
-                    ConvergenceWarning,
-                    stacklevel=2,
-                )
+            self._ilu = sgs_factors(artifacts.schur)
             ilu_seconds = time.perf_counter() - start
 
         self._install_artifacts(
@@ -271,7 +216,6 @@ class BePI(RWRSolver):
                 "ilu_seconds": ilu_seconds,
                 "stage_timings": dict(artifacts.timings),
                 "preconditioned": self._ilu is not None,
-                "preconditioner_fallback": preconditioner_fallback,
             }
         )
 
@@ -283,13 +227,10 @@ class BePI(RWRSolver):
         return {
             "c": self.c,
             "tol": self.tol,
-            "iterative_method": self.iterative_method,
             "gmres_restart": self.gmres_restart,
             "max_iterations": self.max_iterations,
-            "fallback_chain": self.fallback_chain,
             "hub_ratio": self.hub_ratio,
             "use_preconditioner": self.use_preconditioner,
-            "ilu_engine": self.ilu_engine,
         }
 
     def _install_artifacts(self, bundle: SolverArtifacts) -> None:
@@ -313,12 +254,10 @@ class BePI(RWRSolver):
         self._retain("H21", artifacts.blocks["H21"])
         self._retain("H31", artifacts.blocks["H31"])
         self._retain("H32", artifacts.blocks["H32"])
-        if isinstance(self._ilu, ILUFactors):
+        if self._ilu is not None:
             _, lower, upper = self._ilu._parts
             self._retain("L2", lower)
             self._retain("U2", upper)
-        elif self._ilu is not None:  # Jacobi: one value per row of S
-            self._retain("M_diag", self._ilu._inv_diag)
 
     def _query_batch(self, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
         """Algorithm 4 evaluated once on an ``(n, k)`` block of starting vectors.

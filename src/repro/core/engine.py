@@ -34,17 +34,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import telemetry, tracing
 from repro.core.pipeline import PreprocessArtifacts
 from repro.core.topk import TopKResult, topk_from_scores, validate_k
-from repro.exceptions import InvalidParameterError, SingularMatrixError
+from repro.exceptions import InvalidParameterError
 from repro.graph.graph import Graph
-from repro.linalg.bicgstab import bicgstab
 from repro.linalg.gmres import gmres_multi
-from repro.linalg.power import power_iteration
-from repro.linalg.preconditioners import JacobiPreconditioner
 from repro.reorder.permutation import Permutation
 
 
@@ -63,9 +59,9 @@ class SolverArtifacts:
         Solver family that produced (and can serve) the bundle:
         ``"bepi"`` or ``"bear"``.
     config:
-        Query-phase configuration: ``c``, ``tol``, ``iterative_method``,
-        ``gmres_restart``, ``max_iterations`` for BePI; ``c`` for Bear.
-        Build-phase settings (``hub_ratio``, ``ilu_engine``, ...) ride
+        Query-phase configuration: ``c``, ``tol``, ``gmres_restart``,
+        ``max_iterations`` for BePI; ``c`` for Bear.
+        Build-phase settings (``hub_ratio``, ``use_preconditioner``, ...) ride
         along for provenance.
     graph:
         The preprocessed graph (original node order).
@@ -73,7 +69,7 @@ class SolverArtifacts:
         The Algorithm 1-3 output bundle (permutation, blocks, inverted
         ``H11`` factors, Schur complement).
     preconditioner:
-        ``ILUFactors`` / ``JacobiPreconditioner`` / ``None`` (BePI only).
+        ``ILUFactors`` or ``None`` (BePI only).
     schur_inv:
         The dense (or BEAR-Approx sparse) ``S^{-1}`` (Bear only).
     """
@@ -146,15 +142,6 @@ def validate_seed(seed, n_nodes: int) -> int:
 def _validate_seeds_slow(seeds, n_nodes: int) -> np.ndarray:
     """The historical per-seed loop, kept for its exact error messages."""
     return np.array([validate_seed(s, n_nodes) for s in seeds], dtype=np.int64)
-
-
-def _preconditioner_kind(preconditioner) -> str:
-    """Classify a preconditioner for fallback-rung equivalence checks."""
-    if preconditioner is None:
-        return "none"
-    if isinstance(preconditioner, JacobiPreconditioner):
-        return "jacobi"
-    return "ilu"
 
 
 def _record_engine_chunk(registry, size: int, seconds: float, converged) -> None:
@@ -408,220 +395,114 @@ class BlockEliminationEngine(QueryEngine):
 class BePIQueryEngine(BlockEliminationEngine):
     """Algorithm 4: the Schur system is solved iteratively per query.
 
-    When the configured solve fails (GMRES stagnates, the ILU factors have
-    gone bad), the engine degrades through a **fallback chain** —
-    GMRES(ILU) → GMRES(Jacobi) → BiCGSTAB → power iteration — rather than
-    returning unconverged scores.  Each rung is cheaper to set up and more
-    robust than the one before it: the Jacobi preconditioner is rebuilt
-    from the Schur diagonal on the spot, BiCGSTAB follows a different
-    Krylov trajectory than GMRES, and the Richardson/power rung converges
-    for any Schur complement of a proper RWR system (spectral radius of
-    ``I - S`` is below 1).  Rungs equivalent to the primary configuration
-    are skipped; which rung answered and its achieved residual land in
-    telemetry under ``rwr.queries.fallback.*``.  Disable with
-    ``fallback_chain=False`` in the solver configuration.
+    The solve is GMRES with the bundle's preconditioner (the SGS factors
+    of ``S`` for BePI, none for BePI-S/BePI-B).  A column GMRES leaves
+    unconverged (it stagnated, or a fault was injected) goes to one
+    safety net, the power rung, rather than coming back unconverged.
+    That rung needs no factorization or Krylov state and converges for
+    the Schur complement of any RWR system: ``‖I - S‖₁ ≤ 1 - c``, so
+    the iteration contracts by ``1 - c`` per step.  An explicit
+    ``max_iterations`` bounds the whole solve, so the rung only gets the
+    steps GMRES left unspent.  How often it answered and its achieved
+    residual land in telemetry under ``rwr.queries.fallback.power``.
     """
 
     kind = "bepi"
 
-    #: Iteration cap for the power-iteration rung (the global safety net;
-    #: its per-step cost is one Schur matvec).
+    #: Step cap for the power rung when ``max_iterations`` is unset (its
+    #: per-step cost is one Schur matvec).
     FALLBACK_POWER_ITERATIONS = 10_000
 
     def _solve_schur_block(
         self, rhs: np.ndarray, deadline: Optional[float] = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        r2, iterations, converged, residuals = self._solve_primary(rhs, deadline)
-        if bool(np.all(converged)) or not self.artifacts.config.get(
-            "fallback_chain", True
+        config = self.artifacts.config
+        batch = gmres_multi(
+            self.artifacts.preprocess.schur,
+            rhs,
+            tol=config["tol"],
+            max_iterations=config["max_iterations"],
+            restart=config["gmres_restart"],
+            preconditioner=self.artifacts.preconditioner,
+            deadline=deadline,
+        )
+        r2, iterations = batch.x, batch.n_iterations
+        converged, residuals = batch.converged, batch.final_residuals
+        pending = np.flatnonzero(~converged)
+        if config["max_iterations"] is None:
+            steps = np.full(pending.size, self.FALLBACK_POWER_ITERATIONS)
+        else:
+            steps = config["max_iterations"] - iterations[pending]
+        pending, steps = pending[steps > 0], steps[steps > 0]
+        if pending.size == 0 or (
+            # Deadline spent: the best-effort iterate (with its residual
+            # reported) beats a late exact answer.
+            deadline is not None and time.monotonic() >= deadline
         ):
             return r2, iterations, converged, residuals
-        r2 = np.array(r2, copy=True)
-        iterations = np.array(iterations, copy=True)
-        converged = np.array(converged, copy=True)
-        residuals = np.array(residuals, copy=True)
-        pending = np.flatnonzero(~converged)
-        for rung in self._fallback_rungs():
-            if pending.size == 0:
-                break
-            if deadline is not None and time.monotonic() >= deadline:
-                # Deadline spent: the best-effort iterate (with its
-                # residual reported) beats a late exact answer.
-                break
-            with telemetry.span(f"query.fallback.{rung}"):
-                try:
-                    fx, fit, fconv, fres = self._solve_rung(
-                        rung, np.ascontiguousarray(rhs[:, pending]), deadline
-                    )
-                except SingularMatrixError:
-                    # e.g. a zero on the Schur diagonal: this rung cannot
-                    # even be constructed; the next one still can.
-                    continue
-            # Keep a rung's answer when it converged or at least improved
-            # on the best residual so far; never regress.
-            better = fconv | (fres < residuals[pending])
-            cols = pending[better]
-            r2[:, cols] = fx[:, better]
-            residuals[cols] = fres[better]
-            iterations[pending] += fit
-            recovered = pending[fconv]
-            if recovered.size:
-                converged[recovered] = True
-                self._record_fallback(rung, fres[fconv])
-            pending = pending[~fconv]
+        with telemetry.span("query.fallback.power"):
+            fx, fit, fconv, fres = self._power_block(
+                np.ascontiguousarray(rhs[:, pending]), steps
+            )
+        # Keep the rung's answer when it converged or at least improved on
+        # GMRES's residual; never regress.
+        better = fconv | (fres < residuals[pending])
+        cols = pending[better]
+        r2[:, cols] = fx[:, better]
+        residuals[cols] = fres[better]
+        iterations[pending] += fit
+        recovered = pending[fconv]
+        if recovered.size:
+            converged[recovered] = True
+            self._record_fallback(fres[fconv])
         return r2, iterations, converged, residuals
-
-    # -- primary configured solve ---------------------------------------
-    def _solve_primary(
-        self, rhs: np.ndarray, deadline: Optional[float] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        config = self.artifacts.config
-        if config["iterative_method"] == "gmres":
-            batch = gmres_multi(
-                self.artifacts.preprocess.schur,
-                rhs,
-                tol=config["tol"],
-                max_iterations=config["max_iterations"],
-                restart=config["gmres_restart"],
-                preconditioner=self.artifacts.preconditioner,
-                deadline=deadline,
-            )
-            return batch.x, batch.n_iterations, batch.converged, batch.final_residuals
-        return self._bicgstab_block(rhs, self.artifacts.preconditioner)
-
-    def _bicgstab_block(
-        self, rhs: np.ndarray, preconditioner
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        config = self.artifacts.config
-        k = rhs.shape[1]
-        r2 = np.empty((rhs.shape[0], k), dtype=np.float64)
-        iterations = np.zeros(k, dtype=np.int64)
-        converged = np.zeros(k, dtype=bool)
-        residuals = np.zeros(k, dtype=np.float64)
-        for j in range(k):
-            result = bicgstab(
-                self.artifacts.preprocess.schur,
-                np.ascontiguousarray(rhs[:, j]),
-                tol=config["tol"],
-                max_iterations=config["max_iterations"],
-                preconditioner=preconditioner,
-            )
-            r2[:, j] = result.x
-            iterations[j] = result.n_iterations
-            converged[j] = result.converged
-            residuals[j] = result.final_residual
-        return r2, iterations, converged, residuals
-
-    # -- fallback chain --------------------------------------------------
-    def _fallback_rungs(self) -> Tuple[str, ...]:
-        """Chain rungs in degradation order, minus the primary's equivalent.
-
-        A rung that would re-run the configuration that just failed is
-        skipped (same method, same preconditioner kind): retrying it cannot
-        succeed and would double the latency of every fallback.
-        """
-        config = self.artifacts.config
-        primary = (
-            config["iterative_method"],
-            _preconditioner_kind(self.artifacts.preconditioner),
-        )
-        rungs = []
-        for rung, signature in (
-            ("gmres_jacobi", ("gmres", "jacobi")),
-            ("bicgstab", ("bicgstab", "jacobi")),
-            ("power", ("power", "none")),
-        ):
-            if signature != primary:
-                rungs.append(rung)
-        return tuple(rungs)
-
-    def _solve_rung(
-        self, rung: str, rhs: np.ndarray, deadline: Optional[float] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        config = self.artifacts.config
-        if rung == "gmres_jacobi":
-            batch = gmres_multi(
-                self.artifacts.preprocess.schur,
-                rhs,
-                tol=config["tol"],
-                max_iterations=config["max_iterations"],
-                restart=config["gmres_restart"],
-                preconditioner=self._jacobi(),
-                deadline=deadline,
-            )
-            return batch.x, batch.n_iterations, batch.converged, batch.final_residuals
-        if rung == "bicgstab":
-            return self._bicgstab_block(rhs, self._jacobi())
-        if rung == "power":
-            return self._power_block(rhs)
-        raise InvalidParameterError(f"unknown fallback rung {rung!r}")
-
-    def _jacobi(self) -> JacobiPreconditioner:
-        """Jacobi preconditioner rebuilt from the Schur diagonal.
-
-        Cached on first use.  The engine stays shareable: a racing rebuild
-        computes the identical object, so last-write-wins is harmless.
-        """
-        cached = getattr(self, "_jacobi_cache", None)
-        if cached is None:
-            cached = JacobiPreconditioner(self.artifacts.preprocess.schur)
-            self._jacobi_cache = cached
-        return cached
 
     def _power_block(
-        self, rhs: np.ndarray
+        self, rhs: np.ndarray, steps: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Last-resort Richardson/power rung for ``S x = b``.
+        """The power rung: Richardson iteration ``x <- x + (b - S x)``.
 
-        The RWR power iteration ``r <- (1-c) A~^T r + c q`` has fixed point
-        ``(I - (1-c) A~^T) r = c q``; feeding it ``A~^T = (I - S)/(1-c)``
-        and ``q = b / c`` therefore solves ``S r = b`` with one Schur-sized
-        matvec per step and no factorization or Krylov state to break.
+        This is the RWR power iteration ``r <- (1-c) A~^T r + c q`` on the
+        Schur system (``I - S`` plays ``(1-c) A~^T`` and ``b`` plays
+        ``c q``): one Schur product per step for the whole block, and no
+        factorization or Krylov state to break.  Each step's update is the
+        residual of the iterate it starts from, so a column stops on its
+        true relative residual, and ``b - S x_k = (I - S)^k b`` shrinks by
+        ``‖I - S‖₁ ≤ 1 - c`` per step.  ``steps`` caps each column's steps
+        (default :attr:`FALLBACK_POWER_ITERATIONS`).
         """
         config = self.artifacts.config
-        c = config["c"]
         schur = self.artifacts.preprocess.schur
-        cached = getattr(self, "_power_operator_cache", None)
-        if cached is None:
-            n2 = schur.shape[0]
-            cached = sp.csr_matrix(
-                (sp.identity(n2, format="csr", dtype=np.float64) - schur) / (1.0 - c)
-            )
-            self._power_operator_cache = cached
-        k = rhs.shape[1]
-        r2 = np.empty((rhs.shape[0], k), dtype=np.float64)
-        iterations = np.zeros(k, dtype=np.int64)
-        converged = np.zeros(k, dtype=bool)
-        residuals = np.zeros(k, dtype=np.float64)
-        for j in range(k):
-            b = np.ascontiguousarray(rhs[:, j])
-            result = power_iteration(
-                cached,
-                b / c,
-                c,
-                tol=config["tol"],
-                max_iterations=self.FALLBACK_POWER_ITERATIONS,
-            )
-            r2[:, j] = result.r
-            iterations[j] = result.n_iterations
-            # The power loop stops on update norms; report (and judge) the
-            # true relative residual of the Schur system instead.
-            scale = float(np.linalg.norm(b))
-            residual = float(np.linalg.norm(b - schur @ result.r))
-            residual = residual / scale if scale > 0.0 else residual
-            residuals[j] = residual
-            converged[j] = residual <= config["tol"]
-        return r2, iterations, converged, residuals
+        b = np.asarray(rhs, dtype=np.float64)
+        scale = np.linalg.norm(b, axis=0)
+        scale[scale == 0.0] = 1.0
+        caps = np.broadcast_to(
+            self.FALLBACK_POWER_ITERATIONS if steps is None else steps, scale.shape
+        )
+        x = np.zeros_like(b)
+        iterations = np.zeros(b.shape[1], dtype=np.int64)
+        residuals = np.empty(b.shape[1], dtype=np.float64)
+        active = np.arange(b.shape[1])
+        for step in range(int(caps.max(initial=0)) + 1):
+            update = b[:, active] - schur @ x[:, active]
+            residuals[active] = np.linalg.norm(update, axis=0) / scale[active]
+            iterations[active] = step
+            pending = (residuals[active] > config["tol"]) & (caps[active] > step)
+            active, update = active[pending], update[:, pending]
+            if active.size == 0:
+                break
+            x[:, active] += update
+        return x, iterations, residuals <= config["tol"], residuals
 
-    def _record_fallback(self, rung: str, residuals: np.ndarray) -> None:
+    def _record_fallback(self, residuals: np.ndarray) -> None:
         registry = telemetry.get_registry()
         count = int(np.asarray(residuals).shape[0])
         registry.counter(
             telemetry.FALLBACK_TOTAL, help="queries answered by a fallback rung"
         ).inc(count)
         registry.counter(
-            telemetry.FALLBACK_RUNG_PREFIX + rung,
-            help=f"queries answered by the {rung} fallback rung",
+            telemetry.FALLBACK_RUNG_PREFIX + "power",
+            help="queries answered by the power fallback rung",
         ).inc(count)
         registry.histogram(
             telemetry.FALLBACK_RESIDUAL,

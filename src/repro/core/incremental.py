@@ -67,8 +67,7 @@ from repro.core.pipeline import PreprocessArtifacts
 from repro.exceptions import GraphFormatError, InvalidParameterError
 from repro.graph.graph import Graph
 from repro.linalg.block_lu import BlockDiagonalLU, factorize_block_diagonal
-from repro.linalg.ilu import ILUFactors, sgs_factors
-from repro.linalg.preconditioners import JacobiPreconditioner
+from repro.linalg.ilu import sgs_factors
 from repro.linalg.rwr_matrix import build_h_matrix, partition_h
 
 Edge = Tuple[int, int]
@@ -457,7 +456,8 @@ def incremental_update(
         config=dict(bundle.config),
         graph=new_graph,
         preprocess=new_pre,
-        preconditioner=_rebuilt_preconditioner(bundle.preconditioner, schur),
+        # SGS factors of the updated S, if the parent had a preconditioner.
+        preconditioner=None if bundle.preconditioner is None else sgs_factors(schur),
     )
     return IncrementalResult(
         bundle=new_bundle,
@@ -467,15 +467,6 @@ def incremental_update(
         seconds=time.perf_counter() - started,
         timings=timings,
     )
-
-
-def _rebuilt_preconditioner(previous: Any, schur: sp.csr_matrix) -> Any:
-    """A preconditioner of the parent's kind, built for the updated ``S``."""
-    if isinstance(previous, ILUFactors):
-        return sgs_factors(schur)
-    if isinstance(previous, JacobiPreconditioner):
-        return JacobiPreconditioner(schur)
-    return None
 
 
 def _splice(

@@ -15,7 +15,6 @@ implement the algorithms themselves; the test suite cross-checks them
 against scipy's reference implementations.
 """
 
-from repro.linalg.bicgstab import bicgstab
 from repro.linalg.block_lu import BlockDiagonalLU, factorize_block_diagonal
 from repro.linalg.gmres import (
     GMRESBatchResult,
@@ -26,7 +25,6 @@ from repro.linalg.gmres import (
 )
 from repro.linalg.ilu import ILUFactors, sgs_factors
 from repro.linalg.power import PowerResult, power_iteration
-from repro.linalg.preconditioners import JacobiPreconditioner
 from repro.linalg.rwr_matrix import (
     build_h_matrix,
     partition_h,
@@ -40,9 +38,7 @@ __all__ = [
     "GMRESResult",
     "GMRESWorkspace",
     "ILUFactors",
-    "JacobiPreconditioner",
     "PowerResult",
-    "bicgstab",
     "build_h_matrix",
     "factorize_block_diagonal",
     "gmres",

@@ -39,7 +39,7 @@ from typing import Any, Dict, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.bepi import ILU_ENGINES, BePI
+from repro.core.bepi import BePI
 from repro.core.engine import SolverArtifacts
 from repro.core.pipeline import PreprocessArtifacts
 from repro.exceptions import (
@@ -50,7 +50,6 @@ from repro.exceptions import (
 from repro.graph.graph import Graph
 from repro.linalg.block_lu import BlockDiagonalLU
 from repro.linalg.ilu import ILUFactors
-from repro.linalg.preconditioners import JacobiPreconditioner
 from repro.reorder.hubspoke import HubSpokePartition
 from repro.reorder.permutation import Permutation
 
@@ -66,13 +65,12 @@ _MANIFEST_NAME = "manifest.json"
 _ARRAYS_DIR = "arrays"
 
 
-def _preconditioner_kind(preconditioner: Any) -> str:
-    if preconditioner is None:
-        return "none"
-    if isinstance(preconditioner, JacobiPreconditioner):
-        return "jacobi"
-    return "ilu"
-
+#: Solver settings earlier bundles record that are no longer options, with
+#: the one value this version still serves.  A bundle naming another value
+#: is refused.  Their keys are dropped from a loaded config, and so is
+#: ``fallback_chain``: the engine's safety net now always runs.
+_RETIRED_SETTINGS = {"ilu_engine": "sgs", "iterative_method": "gmres"}
+_RETIRED_KEYS = (*_RETIRED_SETTINGS, "fallback_chain")
 
 #: Prefix of the row/column permutation arrays that the removed permuting
 #: (SuperLU) ILU engine stored.  The preconditioner is now derived from
@@ -83,14 +81,22 @@ _PERMUTATION_PREFIX = "perm_"
 def _refuse_retired_bundle(root: Path, manifest: Dict[str, Any]) -> None:
     """Raise :class:`GraphFormatError` for a bundle this version cannot apply.
 
-    That includes ``ilu0`` bundles: their stored ILU(0) factors are not the
-    preconditioner this version derives from ``S``.
+    That includes ``ilu0`` bundles, whose stored ILU(0) factors are not the
+    preconditioner this version derives from ``S``, and bundles built with
+    the retired Jacobi preconditioner or the retired second Krylov method.
     """
-    engine = manifest["config"].get("ilu_engine")
-    if engine not in ILU_ENGINES:
+    for key, served in _RETIRED_SETTINGS.items():
+        value = manifest["config"].get(key, served)
+        if value != served:
+            raise GraphFormatError(
+                f"{root}: built with {key} {value!r}, which is no longer "
+                f"supported (only {served!r}); rebuild the artifacts"
+            )
+    kind = manifest["preconditioner_kind"]
+    if kind not in ("ilu", "none"):
         raise GraphFormatError(
-            f"{root}: built with ilu_engine {engine!r}, which is no longer "
-            f"supported (only {', '.join(ILU_ENGINES)}); rebuild the artifacts"
+            f"{root}: preconditioner_kind {kind!r} is no longer supported; "
+            "rebuild the artifacts"
         )
     retired = sorted(n for n in manifest["checksums"] if n.startswith(_PERMUTATION_PREFIX))
     if retired:
@@ -215,11 +221,6 @@ def save_artifacts(
     for block in _STORED_BLOCKS:
         write_csr(block, artifacts.blocks[block])
 
-    # SGS factors are derived from S at load, so only Jacobi stores one.
-    kind = _preconditioner_kind(bundle.preconditioner)
-    if kind == "jacobi":
-        write_dense("M_diag", bundle.preconditioner.inverse_diagonal)
-
     manifest = {
         "format_version": _ARTIFACT_FORMAT_VERSION,
         "kind": bundle.kind,
@@ -229,7 +230,8 @@ def save_artifacts(
         "n3": artifacts.n3,
         "slashburn_iterations": artifacts.hubspoke.slashburn_iterations,
         "hub_ratio": artifacts.hubspoke.hub_ratio,
-        "preconditioner_kind": kind,
+        # SGS factors are derived from S at load, so none are stored.
+        "preconditioner_kind": "none" if bundle.preconditioner is None else "ilu",
         "csr_shapes": csr_shapes,
         "checksums": checksums,
     }
@@ -239,7 +241,7 @@ def save_artifacts(
     manifest_tmp.write_text(json.dumps(manifest, indent=2))
     os.replace(manifest_tmp, root / _MANIFEST_NAME)
     # A previous save into this directory may have written arrays this
-    # bundle does not have (e.g. ILU factors before a Jacobi save).  Drop
+    # bundle does not have (e.g. a retired preconditioner's).  Drop
     # them only once the new manifest is in place, so no manifest on disk
     # ever names a deleted file.
     for stale in arrays_dir.glob("*.npy"):
@@ -343,12 +345,14 @@ def load_artifacts(
     preconditioner = None
     if manifest["preconditioner_kind"] == "ilu":
         preconditioner = ILUFactors(schur)
-    elif manifest["preconditioner_kind"] == "jacobi":
-        preconditioner = JacobiPreconditioner.from_inverse_diagonal(read("M_diag"))
 
     return SolverArtifacts(
         kind=manifest["kind"],
-        config=dict(manifest["config"]),
+        config={
+            key: value
+            for key, value in manifest["config"].items()
+            if key not in _RETIRED_KEYS
+        },
         graph=graph,
         preprocess=artifacts,
         preconditioner=preconditioner,
@@ -380,8 +384,6 @@ def solver_from_config(config: Dict[str, Any]) -> BePI:
         tol=config["tol"],
         hub_ratio=config["hub_ratio"],
         use_preconditioner=config["use_preconditioner"],
-        ilu_engine=config["ilu_engine"],
-        iterative_method=config["iterative_method"],
         gmres_restart=config.get("gmres_restart"),
         max_iterations=config.get("max_iterations"),
     )

@@ -93,9 +93,9 @@ QUERY_SECONDS = "rwr.query.seconds"
 BATCH_SECONDS = "rwr.batch.seconds"
 BATCH_SIZE = "rwr.batch.size"
 
-# Solver fallback chain (engine degrades GMRES(ILU) → GMRES(Jacobi) →
-# BiCGSTAB → power iteration when the Schur solve fails).  Per-rung
-# counters append the rung name: ``rwr.queries.fallback.<rung>``.
+# The Schur solve's safety net (the engine finishes each column GMRES
+# leaves unconverged with the power rung).  Per-rung counters append the
+# rung name: ``rwr.queries.fallback.power``.
 FALLBACK_TOTAL = "rwr.queries.fallback"
 FALLBACK_RUNG_PREFIX = "rwr.queries.fallback."
 FALLBACK_RESIDUAL = "rwr.queries.fallback.residual"

@@ -403,11 +403,11 @@ def decode_message(payload: bytes) -> Union[Request, Reply]:
                 degraded=degraded, error_bound=bound,
             )
         if opcode == REPLY_STATS:
-            return StatsReply(stats=json.loads(body.decode("utf-8")))
+            return StatsReply(stats=_json_object(body))
         if opcode == REPLY_ERROR:
             return ErrorReply(message=body.decode("utf-8", errors="replace"))
         if opcode == REPLY_OVERLOADED:
-            info = json.loads(body.decode("utf-8"))
+            info = _json_object(body)
             return OverloadedReply(
                 pending=int(info.get("pending", 0)),
                 limit=int(info.get("limit", 0)),
@@ -415,9 +415,17 @@ def decode_message(payload: bytes) -> Union[Request, Reply]:
             )
     except ProtocolError:
         raise
-    except (struct.error, ValueError, json.JSONDecodeError) as exc:
+    except (struct.error, ValueError, TypeError) as exc:
         raise ProtocolError(f"malformed frame body for opcode {opcode}: {exc}") from exc
     raise ProtocolError(f"unknown opcode {opcode}")
+
+
+def _json_object(body: bytes) -> Dict[str, Any]:
+    """A JSON object body (stats and overloaded replies)."""
+    value = json.loads(body.decode("utf-8"))
+    if not isinstance(value, dict):
+        raise ProtocolError(f"expected a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _decode_trace(

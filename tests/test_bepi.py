@@ -132,9 +132,11 @@ class TestInterface:
             BePI(hub_ratio=0.0)
         with pytest.raises(InvalidParameterError):
             BePI(hub_ratio="magic")
-        for engine in ("nonsense", "ilut", "spilu", "ilu0"):
-            with pytest.raises(InvalidParameterError):
-                BePI(ilu_engine=engine)
+        # The preconditioner engine, Krylov method and fallback switch
+        # are no longer options.
+        for option in ("ilu_engine", "iterative_method", "fallback_chain"):
+            with pytest.raises(TypeError):
+                BePI(**{option: None})
 
     def test_invalid_seed(self, small_graph):
         solver = BePI().preprocess(small_graph)

@@ -207,6 +207,30 @@ class TestMetrics:
             snapshot = json.load(fh)
         assert snapshot["counters"]["rwr.queries"]["value"] == 3
 
+    def test_serve_fault_plan_worker_crash_is_recovered(
+        self, graph_file, tmp_path, capsys
+    ):
+        """A fault plan that kills worker 0 at its first batch: the pool
+        respawns it, re-dispatches the lost request and still answers."""
+        import json
+
+        out_dir = str(tmp_path / "artifacts")
+        main(["build", graph_file, "-o", out_dir])
+        capsys.readouterr()
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(
+            {"worker_crashes": [{"worker": 0, "at_batch": 0, "exitcode": 137}]}
+        ))
+        snapshot_path = str(tmp_path / "chaos-metrics.json")
+        assert main(["serve", out_dir, "--workers", "2", "--random", "8",
+                     "--fault-plan", str(plan_path),
+                     "--metrics-out", snapshot_path]) == 0
+        assert "1 worker restarts" in capsys.readouterr().out
+        with open(snapshot_path) as fh:
+            counters = json.load(fh)["counters"]
+        assert counters["rwr.serve.worker_restarts"]["value"] == 1
+        assert counters["rwr.serve.request_retries"]["value"] >= 1
+
 
 class TestTopReconnect:
     """``repro top`` must survive an unreachable gateway (satellite: no

@@ -1,21 +1,35 @@
-"""Tests for the solver fallback chain (GMRES → Jacobi → BiCGSTAB → power)."""
+"""Tests for the Schur solve's safety net: GMRES, then the power rung.
+
+The engine solves ``S r2 = q2~`` with GMRES (SGS-preconditioned for BePI)
+and finishes any column GMRES leaves unconverged with the power rung.
+The rung needs no factorization: for the Schur complement of any RWR
+system ``diag(S) > 0`` and ``‖I - S‖₁ ≤ 1 - c``, so it contracts by
+``1 - c`` per step.  ``TestSchurContraction`` checks that argument on
+random graphs; it is why no other rung or build-time fallback exists.
+"""
 
 import importlib
-import warnings
+import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import BePI
-from repro.exceptions import ConvergenceWarning
+from repro import BePI, BePIS
 from repro.telemetry import (
+    FALLBACK_RESIDUAL,
     FALLBACK_RUNG_PREFIX,
     FALLBACK_TOTAL,
 )
 
 from .conftest import exact_rwr
+from .test_query_paths import graphs
 
 gmres_module = importlib.import_module("repro.linalg.gmres")
+
+POWER = FALLBACK_RUNG_PREFIX + "power"
 
 
 def _stagnated(n: int):
@@ -30,8 +44,8 @@ def stagnate(monkeypatch):
     """``stagnate(n)`` makes the next ``n`` GMRES right-hand sides stagnate.
 
     Both GMRES engines are wrapped; right-hand sides are counted in call
-    order (the first columns of a block first), so a fallback rung that
-    retries GMRES spends more of the budget.
+    order (the first columns of a block first).  ``stagnate.left()`` is
+    the budget no GMRES call has taken.
     """
     budget = [0]
     run_single = gmres_module._run_gmres
@@ -65,6 +79,7 @@ def stagnate(monkeypatch):
     def arm(n: int) -> None:
         budget[0] = n
 
+    arm.left = lambda: budget[0]
     return arm
 
 
@@ -100,22 +115,18 @@ class TestFallbackChain:
         assert np.allclose(recovered, exact_rwr(small_graph, 0.05, 3), atol=1e-8)
         assert np.allclose(recovered, baseline, atol=1e-8)
         delta = counter_delta(before, fallback_counters(solver))
-        assert delta[FALLBACK_TOTAL] == 1.0
-        assert delta[FALLBACK_RUNG_PREFIX + "gmres_jacobi"] == 1.0
+        assert delta == {FALLBACK_TOTAL: 1.0, POWER: 1.0}
         assert solver.stats["unconverged_queries"] == 0
 
-    def test_chain_degrades_to_bicgstab_when_jacobi_rung_also_stagnates(
-        self, solver, small_graph, stagnate
-    ):
-        # Budget 2: the primary GMRES(ILU) solve and the GMRES(Jacobi) rung
-        # both stagnate; BiCGSTAB is the first rung that can answer.
+    def test_power_rung_does_not_rerun_gmres(self, solver, small_graph, stagnate):
+        # Budget 2 on one column: GMRES takes one, the power rung none.
         before = fallback_counters(solver)
         stagnate(2)
         recovered = solver.query(5)
+        assert stagnate.left() == 1
         assert np.allclose(recovered, exact_rwr(small_graph, 0.05, 5), atol=1e-8)
         delta = counter_delta(before, fallback_counters(solver))
-        assert delta[FALLBACK_RUNG_PREFIX + "bicgstab"] == 1.0
-        assert FALLBACK_RUNG_PREFIX + "gmres_jacobi" not in delta
+        assert delta == {FALLBACK_TOTAL: 1.0, POWER: 1.0}
         assert solver.stats["unconverged_queries"] == 0
 
     def test_batched_queries_recover_per_column(
@@ -126,58 +137,46 @@ class TestFallbackChain:
         scores = solver.query_many([0, 1, 2])
         for seed, row in zip([0, 1, 2], scores):
             assert np.allclose(row, exact_rwr(small_graph, 0.05, seed), atol=1e-8)
-        # Two columns stagnated and the Jacobi rung recovered both.
+        # Two columns stagnated and the power rung recovered both.
         delta = counter_delta(before, fallback_counters(solver))
-        assert delta[FALLBACK_RUNG_PREFIX + "gmres_jacobi"] == 2.0
+        assert delta == {FALLBACK_TOTAL: 2.0, POWER: 2.0}
         assert solver.stats["unconverged_queries"] == 0
+
+    def test_unpreconditioned_variant_recovers_too(self, small_graph, stagnate):
+        solver = BePIS(tol=1e-10).preprocess(small_graph)
+        stagnate(1)
+        recovered = solver.query(4)
+        assert np.allclose(recovered, exact_rwr(small_graph, 0.05, 4), atol=1e-8)
+        assert fallback_counters(solver) == {FALLBACK_TOTAL: 1.0, POWER: 1.0}
 
     def test_fallback_residual_histogram_recorded(self, solver, stagnate):
         stagnate(1)
         solver.query(1)
-        histograms = solver.telemetry.snapshot()["histograms"]
-        assert "rwr.queries.fallback.residual" in histograms
+        histogram = solver.telemetry.snapshot()["histograms"][FALLBACK_RESIDUAL]
+        assert histogram["count"] >= 1
+        assert histogram["sum"] <= 1e-10 * histogram["count"]
 
     def test_fallback_counters_exported_to_prometheus(self, solver, stagnate):
         stagnate(1)
         solver.query(2)
         text = solver.telemetry.to_prometheus()
         assert "rwr_queries_fallback" in text
-        assert "rwr_queries_fallback_gmres_jacobi" in text
+        assert "rwr_queries_fallback_power" in text
 
-    def test_disabled_chain_surfaces_the_stagnation(self, small_graph, stagnate):
-        solver = BePI(tol=1e-10, hub_ratio=0.3, fallback_chain=False).preprocess(
-            small_graph
-        )
+    def test_spent_deadline_skips_the_rung(self, solver, stagnate, monkeypatch):
+        engine = solver.engine
+
+        def not_run(rhs):
+            raise AssertionError("the power rung ran after the deadline")
+
+        monkeypatch.setattr(engine, "_power_block", not_run)
+        before = fallback_counters(solver)
         stagnate(1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            solver.query(0)
-        assert solver.stats["unconverged_queries"] >= 1
-        assert fallback_counters(solver) == {}
-
-
-class TestRungSelection:
-    def test_ilu_primary_keeps_all_rungs(self, solver):
-        assert solver.engine._fallback_rungs() == (
-            "gmres_jacobi",
-            "bicgstab",
-            "power",
-        )
-
-    def test_jacobi_primary_skips_equivalent_rung(self, small_graph):
-        solver = BePI(tol=1e-10, hub_ratio=0.3, ilu_engine="jacobi").preprocess(
-            small_graph
-        )
-        assert solver.engine._fallback_rungs() == ("bicgstab", "power")
-
-    def test_bicgstab_primary_skips_equivalent_rung(self, small_graph):
-        solver = BePI(
-            tol=1e-10,
-            hub_ratio=0.3,
-            iterative_method="bicgstab",
-            ilu_engine="jacobi",
-        ).preprocess(small_graph)
-        assert solver.engine._fallback_rungs() == ("gmres_jacobi", "power")
+        rhs = np.zeros((engine.n_nodes, 1))
+        rhs[3, 0] = 1.0
+        _, _, extras = engine.query_block(rhs, deadline=time.monotonic() - 1.0)
+        assert not extras["converged"][0]
+        assert counter_delta(before, fallback_counters(solver)) == {}
 
 
 class TestPowerRung:
@@ -194,18 +193,35 @@ class TestPowerRung:
             assert residual <= 1e-10 * np.linalg.norm(rhs[:, j]) * 10
 
 
-class TestPreconditionerBuildFallback:
-    def test_failed_ilu_degrades_to_jacobi_with_warning(
-        self, small_graph, monkeypatch
+class TestSchurContraction:
+    """Why GMRES needs one safety net and the build none: on every RWR
+    graph ``S`` has a positive diagonal (so its SGS factors exist) and
+    ``‖I - S‖₁ ≤ 1 - c`` (so the power rung converges)."""
+
+    @given(
+        graph=graphs,
+        c=st.sampled_from([0.05, 0.15, 0.5, 0.85]),
+        hub_ratio=st.sampled_from([0.1, 0.25, 0.5]),
+        rhs_seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_diagonal_contraction_and_power_convergence(
+        self, graph, c, hub_ratio, rhs_seed
     ):
-        import repro.core.bepi as bepi_module
-
-        def broken_ilu(*args, **kwargs):
-            raise RuntimeError("synthetic factorization breakdown")
-
-        monkeypatch.setattr(bepi_module, "sgs_factors", broken_ilu)
-        with pytest.warns(ConvergenceWarning, match="falling back"):
-            solver = BePI(tol=1e-10, hub_ratio=0.3).preprocess(small_graph)
-        assert solver.stats["preconditioner_fallback"] == "jacobi"
-        scores = solver.query(0)
-        assert np.allclose(scores, exact_rwr(small_graph, 0.05, 0), atol=1e-8)
+        solver = BePI(c=c, tol=1e-9, hub_ratio=hub_ratio).preprocess(graph)
+        schur = solver.artifacts.schur
+        n2 = schur.shape[0]
+        if n2 == 0:
+            return
+        # diag(S) = 1 - diag(I - S) >= c > 0: the SGS factors always exist.
+        assert np.all(schur.diagonal() >= c - 1e-12)
+        off = sp.identity(n2, format="csr") - schur
+        assert abs(off).sum(axis=0).max() <= 1.0 - c + 1e-12
+        engine = solver.engine
+        rhs = np.random.default_rng(rhs_seed).standard_normal((n2, 2))
+        _, iterations, converged, residuals = engine._power_block(rhs)
+        assert converged.all(), residuals
+        # ‖b - S x_k‖₂ ≤ (1 - c)^k ‖b‖₁ ≤ (1 - c)^k √n2 ‖b‖₂ bounds the steps.
+        bound = np.ceil(np.log(1e-9 / np.sqrt(n2)) / np.log(1.0 - c))
+        assert (iterations <= bound + 1).all(), (iterations, bound)
+        assert bound < engine.FALLBACK_POWER_ITERATIONS

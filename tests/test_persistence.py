@@ -7,8 +7,16 @@ import shutil
 import numpy as np
 import pytest
 
-from repro import BePI, BePIS, GraphFormatError, NotPreprocessedError, generate_rmat
+from repro import (
+    BePI,
+    BePIB,
+    BePIS,
+    GraphFormatError,
+    NotPreprocessedError,
+    generate_rmat,
+)
 from repro.exceptions import ArtifactIntegrityError
+from repro.linalg.ilu import ILUFactors
 from repro.persistence import (
     artifact_nbytes,
     load_artifacts,
@@ -61,11 +69,15 @@ class TestRoundtrip:
         assert loaded.ilu_factors is None
         assert np.allclose(loaded.query(0), original.query(0), atol=1e-12)
 
-    def test_jacobi_variant(self, small_graph, tmp_path):
+    def test_sgs_variant(self, small_graph, tmp_path):
         path = tmp_path / "artifacts"
-        original = BePI(ilu_engine="jacobi", tol=1e-11).preprocess(small_graph)
+        original = BePI(tol=1e-11).preprocess(small_graph)
         save_artifacts(original, path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert manifest["preconditioner_kind"] == "ilu"
+        assert not any(name.startswith(("L2", "U2")) for name in manifest["checksums"])
         loaded = load_solver(path)
+        assert isinstance(loaded.ilu_factors, ILUFactors)
         assert np.allclose(loaded.query(2), original.query(2), atol=1e-12)
 
     def test_graph_available_after_load(self, small_graph, tmp_path):
@@ -157,9 +169,9 @@ class TestArtifactDirectory:
         [
             lambda: BePI(tol=1e-11),
             lambda: BePIS(tol=1e-11),
-            lambda: BePI(tol=1e-11, ilu_engine="jacobi"),
+            lambda: BePIB(tol=1e-11),
         ],
-        ids=["ilu", "none", "jacobi"],
+        ids=["ilu", "none", "basic"],
     )
     def test_roundtrip_is_bit_equal(self, small_graph, tmp_path, make_solver):
         original = make_solver().preprocess(small_graph)
@@ -212,7 +224,10 @@ class TestArtifactDirectory:
     def test_resave_drops_arrays_of_previous_bundle(self, tmp_path):
         graph = generate_rmat(9, 4000, seed=5)
         path = tmp_path / "artifacts"
-        save_artifacts(BePI(ilu_engine="jacobi", tol=1e-11).preprocess(graph), path)
+        save_artifacts(BePIS(tol=1e-11).preprocess(graph), path)
+        # An array an earlier version's bundle stored (the retired Jacobi
+        # diagonal): the next save into the directory must drop it.
+        np.save(path / "arrays" / "M_diag.npy", np.ones(4))
         sgs = BePI(tol=1e-11).preprocess(graph)
         save_artifacts(sgs, path)
         manifest = json.loads((path / "manifest.json").read_text())
@@ -299,6 +314,55 @@ class TestRetiredBundles:
             load_artifacts(path)
         with pytest.raises(GraphFormatError, match="ilu_engine 'ilu0'"):
             load_solver(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("ilu_engine", "jacobi"),
+            ("iterative_method", "bicgstab"),
+            ("preconditioner_kind", "jacobi"),
+        ],
+    )
+    def test_retired_setting_refused_before_any_array_is_read(
+        self, saved, tmp_path, key, value
+    ):
+        """Bundles of the retired Jacobi preconditioner and second Krylov
+        method are refused by their manifest alone."""
+        def edit(target, manifest):
+            if key == "preconditioner_kind":
+                manifest[key] = value
+                manifest["checksums"]["M_diag.npy"] = "0" * 64
+            else:
+                manifest["config"][key] = value
+            shutil.rmtree(target / "arrays")
+
+        path = self._copy(saved[1], tmp_path / "bundle", edit)
+        for load in (load_artifacts, load_solver):
+            with pytest.raises(GraphFormatError, match=f"{key} '{value}'"):
+                load(path)
+
+    def test_manifest_with_the_served_settings_loads(self, saved, tmp_path):
+        """Bundles written while the settings were options, with the values
+        this version serves, load and answer bit-identically."""
+        solver, _ = saved
+
+        def edit(target, manifest):
+            manifest["config"].update(
+                ilu_engine="sgs", iterative_method="gmres", fallback_chain=True
+            )
+
+        path = self._copy(saved[1], tmp_path / "bundle", edit)
+        bundle = load_artifacts(path)
+        assert not {"ilu_engine", "iterative_method", "fallback_chain"} & set(
+            bundle.config
+        )
+        loaded = load_solver(path)
+        seeds = [0, 5, 17]
+        assert np.array_equal(
+            loaded.query_many_detailed(seeds).iterations,
+            solver.query_many_detailed(seeds).iterations,
+        )
+        assert np.array_equal(loaded.query_many(seeds), solver.query_many(seeds))
 
     @pytest.mark.parametrize("name", ["perm_r.npy", "perm_c.npy"])
     def test_manifest_naming_permutations_refused(self, saved, tmp_path, name):

@@ -7,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import faults, wire
 from repro.faults import ConnectionDrop, FaultPlan, FrameCorrupt, SlowLink
@@ -549,3 +551,95 @@ class TestWireFaultInjection:
                     )
 
         _over_socketpair(scenario)
+
+
+# Valid payloads of every message type, trailers included: the fuzz
+# below truncates and flips their bytes.
+_VALID_MESSAGES = [
+    wire.QueryRequest(
+        seeds=np.array([0, 7, 2**40], dtype=np.int64),
+        trace=((1, 2), (3, 4)),
+        deadline_ms=12.5,
+    ),
+    wire.TopKRequest(seeds=np.array([3, 1], dtype=np.int64), k=16, deadline_ms=3.0),
+    wire.StatsRequest(),
+    wire.MetricsRequest(),
+    wire.DenseReply(
+        scores=np.arange(6, dtype=np.float64).reshape(2, 3),
+        trace_records=({"name": "query", "ms": 1.5},),
+        degraded=True,
+        error_bound=0.01,
+    ),
+    wire.TopKReply(
+        pairs=[
+            np.array([(4, 0.25), (1, 0.125)], dtype=wire.WIRE_PAIR_DTYPE),
+            np.empty(0, dtype=wire.WIRE_PAIR_DTYPE),
+        ],
+        trace_records=({"name": "topk"},),
+    ),
+    wire.StatsReply(stats={"queue_depth": 3, "nested": {"a": [1, 2]}}),
+    wire.ErrorReply(message="seed out of range"),
+    wire.OverloadedReply(pending=12, limit=8, retry_after=0.25),
+]
+_VALID_PAYLOADS = [wire.encode_message(m) for m in _VALID_MESSAGES]
+
+
+def _decodes_or_refuses(payload: bytes) -> None:
+    """``decode_message`` either returns a message or raises ProtocolError."""
+    try:
+        decoded = wire.decode_message(payload)
+    except wire.ProtocolError:
+        return
+    assert decoded.opcode == payload[1]
+
+
+class TestDecodeFuzz:
+    """No byte string makes ``decode_message`` raise anything but
+    :class:`wire.ProtocolError`, and a length prefix above
+    ``MAX_FRAME_BYTES`` is refused before its payload is read."""
+
+    @given(payload=st.binary(max_size=256))
+    @settings(max_examples=500, deadline=None)
+    def test_any_bytes(self, payload):
+        _decodes_or_refuses(payload)
+
+    @given(
+        opcode=st.sampled_from(sorted({p[1] for p in _VALID_PAYLOADS})),
+        body=st.binary(max_size=256),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_any_body_under_a_known_opcode(self, opcode, body):
+        _decodes_or_refuses(bytes([wire.PROTOCOL_VERSION, opcode]) + body)
+
+    @given(data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_truncated_valid_payload(self, data):
+        payload = data.draw(st.sampled_from(_VALID_PAYLOADS), label="payload")
+        end = data.draw(st.integers(0, len(payload)), label="end")
+        _decodes_or_refuses(payload[:end])
+
+    @given(data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_flipped_byte_of_valid_payload(self, data):
+        payload = bytearray(data.draw(st.sampled_from(_VALID_PAYLOADS), label="payload"))
+        index = data.draw(st.integers(0, len(payload) - 1), label="index")
+        payload[index] ^= data.draw(st.integers(1, 255), label="mask")
+        _decodes_or_refuses(bytes(payload))
+
+    @pytest.mark.parametrize(
+        "length", [wire.MAX_FRAME_BYTES + 1, 2**32 - 1]
+    )
+    def test_oversized_length_prefix_refused_before_the_payload(self, length):
+        trailing = b"payload bytes the reader must not consume"
+
+        async def scenario():
+            reader = asyncio.StreamReader()
+            reader.feed_data(struct.pack("<I", length) + trailing)
+            reader.feed_eof()
+            with pytest.raises(wire.ProtocolError, match="exceeds MAX_FRAME_BYTES"):
+                await wire.read_message(reader)
+            # Only the 4-byte prefix was taken: no read of ``length`` bytes
+            # (and so no buffer of that size) was attempted.
+            assert await reader.read() == trailing
+
+        asyncio.run(scenario())
