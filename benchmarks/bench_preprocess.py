@@ -1,4 +1,4 @@
-"""Preprocessing benchmark: redundancy-free auto-``k`` and parallel stages.
+"""Preprocessing benchmark: redundancy-free auto-``k`` and batched ``H11`` LU.
 
 Measures what the staged pipeline buys:
 
@@ -9,9 +9,10 @@ Measures what the staged pipeline buys:
   sweep shares one deadend stage, reads the sparsity counts out of the
   Schur build, and hands the winner's artifacts to the solver (5
   shared-prefix passes, zero rebuild).
-- **parallel stages**: ``factorize_block_diagonal`` with ``n_jobs=4``
-  versus ``n_jobs=1`` (the speed-up assertion only applies on multi-CPU
-  hosts; results are bit-identical regardless).
+- **batched block LU**: ``factorize_block_diagonal`` (one LAPACK call
+  per block *size*) versus the per-block loop it replaced (one LU and two
+  triangular solves per block, then ``sp.block_diag``); the factors are
+  bit-identical.
 - **build stages**: the seconds of each stage of one BePI preprocess,
   ending with ``ilu_seconds`` for the SGS preconditioner.
 
@@ -19,14 +20,15 @@ Run modes
 ---------
 ``--smoke``
     Small graph; checks the *structural* wins (the deadend stage runs
-    exactly once per sweep, no winner rebuild) and bit-identity of the
-    staged / parallel paths, and the SGS factors' defining property
+    exactly once per sweep, no winner rebuild), bit-identity of the staged
+    path and of the batched block LU against the per-block loop, and the
+    SGS factors' defining property
     ``tril(L2, -1) D + U2 = S`` (the factors are ``S``'s own entries).
     Fast enough for CI.
 default (full)
     Scale-13 R-MAT; times legacy-emulated auto-``k`` against the staged
-    sweep (asserts >= 1.5x), the parallel block factorization, and the
-    build stages.
+    sweep (asserts >= 1.5x), the batched block LU against the per-block
+    loop (asserts >= 5x), and the build stages.
 
 Usage::
 
@@ -41,6 +43,7 @@ import time
 from typing import List, Optional, Sequence
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from repro import BePI, generate_rmat
@@ -48,12 +51,7 @@ from repro.core import pipeline as pipeline_module
 from repro.core.hub_ratio import DEFAULT_CANDIDATES, select_hub_ratio
 from repro.core.pipeline import PreprocessArtifacts, build_artifacts, run_deadend_stage
 from repro.graph.graph import Graph
-from repro.linalg.block_lu import (
-    BlockDiagonalLU,
-    _invert_block,
-    factorize_block_diagonal,
-)
-from repro.parallel import available_cpus
+from repro.linalg.block_lu import BlockDiagonalLU, factorize_block_diagonal
 
 RESTART_PROBABILITY = 0.05
 
@@ -71,14 +69,15 @@ class _CallCounter:
 
 
 def _legacy_factorize_block_diagonal(
-    matrix: sp.spmatrix, block_sizes, n_jobs: int = 1
+    matrix: sp.spmatrix, block_sizes
 ) -> BlockDiagonalLU:
-    """The pre-refactor factorization: per-block CSR fancy-slicing.
+    """The pre-refactor factorization, one block at a time.
 
-    Extracting each diagonal block with ``csr[lo:hi, lo:hi].toarray()``
-    pays scipy's general sparse-slicing machinery thousands of times; the
-    refactor replaced it with one batched scatter from the raw CSR arrays.
-    Results are bit-identical, so this is a pure-cost stand-in for timing.
+    Each diagonal block is sliced out of the CSR matrix, factorized by one
+    ``scipy.linalg.lu`` call and inverted by two ``solve_triangular``
+    calls, and the inverted blocks are assembled by ``sp.block_diag``.
+    The factors are bit-identical to the batched ones (no singularity
+    check: the benchmark graphs are non-singular).
     """
     csr = sp.csr_matrix(matrix, dtype=np.float64)
     sizes = np.asarray(block_sizes, dtype=np.int64)
@@ -87,10 +86,9 @@ def _legacy_factorize_block_diagonal(
     u_blocks: List[np.ndarray] = []
     for idx in range(sizes.size):
         lo, hi = int(starts[idx]), int(starts[idx + 1])
-        dense = csr[lo:hi, lo:hi].toarray()
-        l_inv, u_inv = _invert_block(dense, idx)
-        l_blocks.append(l_inv)
-        u_blocks.append(u_inv)
+        p, l, u = sla.lu(csr[lo:hi, lo:hi].toarray())
+        l_blocks.append(sla.solve_triangular(l, p.T, lower=True, unit_diagonal=True))
+        u_blocks.append(sla.solve_triangular(u, np.eye(hi - lo), lower=False))
     l_sparse = sp.block_diag(l_blocks, format="csr") if l_blocks else sp.csr_matrix((0, 0))
     u_sparse = sp.block_diag(u_blocks, format="csr") if u_blocks else sp.csr_matrix((0, 0))
     l_sparse.eliminate_zeros()
@@ -126,10 +124,18 @@ def legacy_auto_k(
         pipeline_module.factorize_block_diagonal = original
 
 
+def _assert_factors_equal(a: BlockDiagonalLU, b: BlockDiagonalLU) -> None:
+    for name in ("l_inv", "u_inv"):
+        x, y = getattr(a, name), getattr(b, name)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(x, part), getattr(y, part)), (
+                f"{name}.{part} differs from the per-block factorization"
+            )
+
+
 def _assert_artifacts_equal(a: PreprocessArtifacts, b: PreprocessArtifacts) -> None:
     assert np.array_equal(a.permutation.order, b.permutation.order)
-    assert np.array_equal(a.h11_factors.l_inv.toarray(), b.h11_factors.l_inv.toarray())
-    assert np.array_equal(a.h11_factors.u_inv.toarray(), b.h11_factors.u_inv.toarray())
+    _assert_factors_equal(a.h11_factors, b.h11_factors)
     assert np.array_equal(a.schur.toarray(), b.schur.toarray())
 
 
@@ -176,10 +182,11 @@ def run_smoke() -> None:
     _assert_artifacts_equal(direct, staged)
     print("smoke: staged build bit-matches direct build (k=0.3)")
 
-    # 4. Parallel stages are bit-identical to serial ones.
-    parallel = build_artifacts(graph, RESTART_PROBABILITY, 0.3, n_jobs=4)
-    _assert_artifacts_equal(direct, parallel)
-    print("smoke: n_jobs=4 build bit-matches n_jobs=1 build")
+    # 4. The batched block LU bit-matches the per-block loop it replaced.
+    h11, sizes = direct.blocks["H11"], direct.block_sizes
+    _assert_factors_equal(direct.h11_factors, _legacy_factorize_block_diagonal(h11, sizes))
+    print(f"smoke: batched H11 factors bit-match the per-block loop "
+          f"({sizes.size} blocks, largest {int(sizes.max())})")
 
     # 5. The SGS factors' defining property: L2 = I + tril(S, -1) D^{-1} and
     #    U2 = triu(S), so tril(L2, -1) D + U2 reproduces S.
@@ -197,7 +204,7 @@ def run_full(scale: int, n_edges: Optional[int], repeats: int) -> None:
     edges = n_edges if n_edges is not None else 8 * (2**scale)
     graph = generate_rmat(scale, edges, seed=13)
     print(f"graph: R-MAT scale {scale} — {graph.n_nodes:,} nodes, "
-          f"{graph.n_edges:,} edges, {available_cpus()} CPU(s) available")
+          f"{graph.n_edges:,} edges")
 
     # --- auto-k: legacy emulation vs staged sweep -----------------------
     legacy_seconds = []
@@ -232,32 +239,27 @@ def run_full(scale: int, n_edges: Optional[int], repeats: int) -> None:
     for stage, seconds in stages.items():
         print(f"build stage  {stage:<24} {seconds * 1e3:8.1f}ms")
 
-    # --- parallel block factorization ----------------------------------
+    # --- batched block LU against the per-block loop --------------------
     h11 = selection.artifacts.blocks["H11"]
     sizes = selection.artifacts.block_sizes
-    serial_s = min(
-        _time_once(lambda: factorize_block_diagonal(h11, sizes, n_jobs=1))
+    per_block_s = min(
+        _time_once(lambda: _legacy_factorize_block_diagonal(h11, sizes))
         for _ in range(repeats)
     )
-    parallel_s = min(
-        _time_once(lambda: factorize_block_diagonal(h11, sizes, n_jobs=4))
+    batched_s = min(
+        _time_once(lambda: factorize_block_diagonal(h11, sizes))
         for _ in range(repeats)
     )
-    print(f"factorize_block_diagonal  n_jobs=1: {serial_s * 1e3:8.1f}ms")
-    print(f"factorize_block_diagonal  n_jobs=4: {parallel_s * 1e3:8.1f}ms   "
-          f"({serial_s / parallel_s:.2f}x)")
-    if available_cpus() > 1:
-        assert parallel_s < serial_s, (
-            f"n_jobs=4 ({parallel_s:.3f}s) did not beat n_jobs=1 "
-            f"({serial_s:.3f}s) on a {available_cpus()}-CPU host"
-        )
-    else:
-        print("note: single-CPU host — parallel speed-up assertion skipped "
-              "(results verified bit-identical instead)")
-        factors_1 = factorize_block_diagonal(h11, sizes, n_jobs=1)
-        factors_4 = factorize_block_diagonal(h11, sizes, n_jobs=4)
-        assert np.array_equal(factors_1.l_inv.toarray(), factors_4.l_inv.toarray())
-        assert np.array_equal(factors_1.u_inv.toarray(), factors_4.u_inv.toarray())
+    print(f"factorize H11  per-block loop: {per_block_s * 1e3:8.1f}ms")
+    print(f"factorize H11  batched:        {batched_s * 1e3:8.1f}ms   "
+          f"({per_block_s / batched_s:.1f}x)")
+    _assert_factors_equal(
+        factorize_block_diagonal(h11, sizes), _legacy_factorize_block_diagonal(h11, sizes)
+    )
+    assert per_block_s >= 5 * batched_s, (
+        f"batched block LU ({batched_s:.3f}s) not 5x faster than the "
+        f"per-block loop ({per_block_s:.3f}s)"
+    )
 
 
 def _time_once(fn) -> float:

@@ -87,19 +87,13 @@ def _add_solver_options(parser: argparse.ArgumentParser) -> None:
                         help="SlashBurn hub selection ratio k, or 'auto' to "
                              "sweep candidates and pick the |S| minimizer "
                              "(BePI family)")
-    parser.add_argument("--n-jobs", type=int, default=1,
-                        help="worker threads for the parallel preprocessing "
-                             "stages; -1 = all CPUs (BePI family, default: 1)")
 
 
 def _build_solver(args: argparse.Namespace):
     cls = _METHODS[args.method]
     kwargs = {"c": args.c, "tol": args.tol}
-    if args.method.startswith("bepi"):
-        if args.hub_ratio is not None:
-            kwargs["hub_ratio"] = args.hub_ratio
-        if getattr(args, "n_jobs", 1) != 1:
-            kwargs["n_jobs"] = args.n_jobs
+    if args.method.startswith("bepi") and args.hub_ratio is not None:
+        kwargs["hub_ratio"] = args.hub_ratio
     if args.hub_ratio is not None and args.method == "bear":
         if args.hub_ratio == "auto":
             raise SystemExit("error: --hub-ratio auto is only supported by "
@@ -403,7 +397,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
             store,
             incremental=not args.full,
             error_bound=args.error_bound,
-            n_jobs=args.n_jobs,
         )
         n_nodes = dyn.graph.n_nodes
         if args.add or args.remove:
@@ -1016,8 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_update.add_argument("--full", action="store_true",
                           help="skip the incremental path and re-preprocess "
                                "from scratch")
-    p_update.add_argument("--n-jobs", type=int, default=1,
-                          help="worker threads for block refactorization")
     p_update.add_argument("--prune", type=int, default=None, metavar="KEEP",
                           help="afterwards, prune to the newest KEEP "
                                "generations (current and leased ones are "

@@ -33,7 +33,6 @@ from repro.core.pipeline import PreprocessArtifacts, build_artifacts
 from repro.exceptions import InvalidParameterError
 from repro.graph.graph import Graph
 from repro.linalg.ilu import ILUFactors, sgs_factors
-from repro.parallel import resolve_n_jobs
 
 HubRatio = Union[float, str]
 
@@ -82,10 +81,6 @@ class BePI(RWRSolver):
     hub_selection:
         ``"slashburn"`` (paper) or ``"degree"`` — single highest-degree cut
         instead of the iterative shattering (ablation only).
-    n_jobs:
-        Worker threads for the parallel preprocessing stages (per-block
-        ``H11`` LU inversion, Schur column solves); ``-1`` = all CPUs.
-        Scores are bit-identical for every value.
 
     Examples
     --------
@@ -120,7 +115,6 @@ class BePI(RWRSolver):
         memory_budget: Optional[MemoryBudget] = None,
         deadend_reorder: bool = True,
         hub_selection: str = "slashburn",
-        n_jobs: int = 1,
     ):
         super().__init__(c=c, tol=tol, memory_budget=memory_budget)
         if isinstance(hub_ratio, str):
@@ -142,7 +136,6 @@ class BePI(RWRSolver):
         self.max_iterations = max_iterations
         self.deadend_reorder = deadend_reorder
         self.hub_selection = hub_selection
-        self.n_jobs = resolve_n_jobs(n_jobs)
         self._artifacts: Optional[PreprocessArtifacts] = None
         self._ilu: Optional[ILUFactors] = None
         self._engine: Optional[BePIQueryEngine] = None
@@ -162,7 +155,6 @@ class BePI(RWRSolver):
                 DEFAULT_CANDIDATES,
                 deadend_reordering=self.deadend_reorder,
                 hub_selection=self.hub_selection,
-                n_jobs=self.n_jobs,
             )
             sweep_seconds = time.perf_counter() - start
             k = selection.best_k
@@ -177,7 +169,6 @@ class BePI(RWRSolver):
                 k,
                 deadend_reordering=self.deadend_reorder,
                 hub_selection=self.hub_selection,
-                n_jobs=self.n_jobs,
             )
             preprocess_passes = 1
         self._artifacts = artifacts
@@ -206,7 +197,6 @@ class BePI(RWRSolver):
                 "hub_ratio": k,
                 "hub_ratio_sweep_seconds": sweep_seconds,
                 "preprocess_passes": preprocess_passes,
-                "n_jobs": self.n_jobs,
                 "n1": artifacts.n1,
                 "n2": artifacts.n2,
                 "n3": artifacts.n3,

@@ -109,7 +109,6 @@ def _background_rebuild_main(
             bundle,
             new_graph,
             bound_threshold=float(options.get("error_bound", 0.0)),
-            n_jobs=int(options.get("n_jobs", 1)),
             force_full=bool(options.get("force_full", False)),
         )
         lineage = {
@@ -178,8 +177,6 @@ class DynamicRWR:
         answering from the current snapshot (requires ``artifact_store``).
         The swap happens between queries — see :meth:`poll` and
         :meth:`wait_for_rebuild`.
-    n_jobs:
-        Worker threads for block refactorization during rebuilds.
 
     Examples
     --------
@@ -203,7 +200,6 @@ class DynamicRWR:
         incremental: bool = True,
         error_bound: float = 0.0,
         background: bool = False,
-        n_jobs: int = 1,
     ):
         self._init_policy(
             solver_factory,
@@ -212,7 +208,6 @@ class DynamicRWR:
             incremental,
             error_bound,
             background,
-            n_jobs,
         )
         self._graph = graph
         self._solver = self._factory()
@@ -233,7 +228,6 @@ class DynamicRWR:
         incremental: bool = True,
         error_bound: float = 0.0,
         background: bool = False,
-        n_jobs: int = 1,
     ) -> "DynamicRWR":
         """Adopt a store's *current* generation instead of preprocessing.
 
@@ -260,7 +254,6 @@ class DynamicRWR:
             incremental,
             error_bound,
             background,
-            n_jobs,
         )
         self._graph = bundle.graph
         self._solver = solver_from_bundle(bundle, str(store.root))
@@ -277,7 +270,6 @@ class DynamicRWR:
         incremental: bool,
         error_bound: float,
         background: bool,
-        n_jobs: int,
     ) -> None:
         if auto_rebuild_threshold is not None and auto_rebuild_threshold < 1:
             raise InvalidParameterError("auto_rebuild_threshold must be >= 1 or None")
@@ -296,7 +288,6 @@ class DynamicRWR:
         self.incremental = bool(incremental)
         self.error_bound = float(error_bound)
         self.background = bool(background)
-        self.n_jobs = max(int(n_jobs), 1)
         # Buffered insertions as (u, v, weight-or-None); None means "insert
         # with unit weight unless the edge already exists" (the unweighted
         # insertion semantics), a float means "set the edge weight".
@@ -499,7 +490,6 @@ class DynamicRWR:
                 batch.to_dict(),
                 {
                     "error_bound": self.error_bound,
-                    "n_jobs": self.n_jobs,
                     "force_full": not self.incremental,
                 },
                 result_queue,
@@ -621,10 +611,7 @@ class DynamicRWR:
         if self.incremental and isinstance(self._solver, BePI):
             bundle = self._solver.solver_artifacts
             result = incremental_update(
-                bundle,
-                new_graph,
-                bound_threshold=self.error_bound,
-                n_jobs=self.n_jobs,
+                bundle, new_graph, bound_threshold=self.error_bound
             )
             if result is not None:
                 from repro.persistence import solver_from_bundle

@@ -26,7 +26,6 @@ from typing import List, Sequence
 from repro.core.pipeline import PreprocessArtifacts, build_artifacts, run_deadend_stage
 from repro.exceptions import InvalidParameterError
 from repro.graph.graph import Graph
-from repro.parallel import resolve_n_jobs, thread_map
 
 #: Candidate ratios used when a solver is asked to auto-select ``k``.
 DEFAULT_CANDIDATES = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -98,8 +97,6 @@ def select_hub_ratio(
     candidates: Sequence[float] = DEFAULT_CANDIDATES,
     deadend_reordering: bool = True,
     hub_selection: str = "slashburn",
-    n_jobs: int = 1,
-    parallel_candidates: bool = False,
 ) -> HubRatioSelection:
     """Sweep the candidate hub ratios and keep the winner's artifacts.
 
@@ -116,41 +113,19 @@ def select_hub_ratio(
     deadend_reordering, hub_selection:
         Forwarded to :func:`~repro.core.pipeline.build_artifacts`, so the
         sweep measures exactly the configuration the solver will use.
-    n_jobs:
-        Worker threads for the parallel pipeline stages (``-1`` = all
-        CPUs).
-    parallel_candidates:
-        Evaluate the independent candidates concurrently (each with serial
-        inner stages) instead of sequentially with parallel inner stages.
-        Results are identical either way.
     """
     if not candidates:
         raise InvalidParameterError("need at least one candidate hub ratio")
-    jobs = resolve_n_jobs(n_jobs)
     stage = run_deadend_stage(graph, deadend_reordering)
-
-    if parallel_candidates and jobs > 1 and len(candidates) > 1:
-        def build(k: float) -> PreprocessArtifacts:
-            return build_artifacts(
-                graph, c, k,
-                deadend_reordering=deadend_reordering,
-                hub_selection=hub_selection,
-                n_jobs=1,
-                deadend_stage=stage,
-            )
-
-        artifacts_list = thread_map(build, list(candidates), jobs)
-    else:
-        artifacts_list = [
-            build_artifacts(
-                graph, c, k,
-                deadend_reordering=deadend_reordering,
-                hub_selection=hub_selection,
-                n_jobs=jobs,
-                deadend_stage=stage,
-            )
-            for k in candidates
-        ]
+    artifacts_list = [
+        build_artifacts(
+            graph, c, k,
+            deadend_reordering=deadend_reordering,
+            hub_selection=hub_selection,
+            deadend_stage=stage,
+        )
+        for k in candidates
+    ]
 
     records = [
         _record_from_artifacts(k, artifacts)
@@ -168,7 +143,6 @@ def sweep_hub_ratios(
     graph: Graph,
     c: float,
     candidates: Sequence[float] = DEFAULT_CANDIDATES,
-    n_jobs: int = 1,
 ) -> List[SchurSweepRecord]:
     """Measure Schur-complement sparsity for each candidate ``k``.
 
@@ -176,7 +150,7 @@ def sweep_hub_ratios(
     shared deadend stage, so the sweep's cost is ``len(candidates)``
     shared-prefix preprocessing passes (no duplicated correction products).
     """
-    return select_hub_ratio(graph, c, candidates, n_jobs=n_jobs).records
+    return select_hub_ratio(graph, c, candidates).records
 
 
 def choose_hub_ratio(

@@ -288,7 +288,6 @@ def incremental_update(
     bundle: SolverArtifacts,
     new_graph: Graph,
     bound_threshold: Optional[float] = None,
-    n_jobs: int = 1,
 ) -> Optional[IncrementalResult]:
     """Apply an updated graph to ``bundle`` as a partition-reusing correction.
 
@@ -384,9 +383,7 @@ def incremental_update(
     if affected.size:
         idx = _gather_index(affected, starts, block_sizes)
         sub = blocks["H11"][idx][:, idx]
-        sub_factors = factorize_block_diagonal(
-            sub, block_sizes[affected], n_jobs=n_jobs
-        )
+        sub_factors = factorize_block_diagonal(sub, block_sizes[affected])
         h11_factors = BlockDiagonalLU(
             l_inv=_splice(pre.h11_factors.l_inv, sub_factors.l_inv, idx, n1),
             u_inv=_splice(pre.h11_factors.u_inv, sub_factors.u_inv, idx, n1),
@@ -514,7 +511,6 @@ def build_updated_bundle(
     bundle: SolverArtifacts,
     new_graph: Graph,
     bound_threshold: float = 0.0,
-    n_jobs: int = 1,
     force_full: bool = False,
 ) -> UpdateResult:
     """Updated artifacts for ``new_graph``: correction if the bound allows.
@@ -527,9 +523,7 @@ def build_updated_bundle(
     """
     started = time.perf_counter()
     if not force_full and bundle.kind == "bepi":
-        result = incremental_update(
-            bundle, new_graph, bound_threshold=bound_threshold, n_jobs=n_jobs
-        )
+        result = incremental_update(bundle, new_graph, bound_threshold=bound_threshold)
         if result is not None:
             return UpdateResult(
                 mode="incremental",
@@ -541,7 +535,6 @@ def build_updated_bundle(
     from repro.persistence import solver_from_config
 
     solver = solver_from_config(bundle.config)
-    solver.n_jobs = max(int(n_jobs), 1)
     solver.preprocess(new_graph)
     return UpdateResult(
         mode="full",

@@ -15,10 +15,6 @@ The pipeline is split into reusable stages:
 - :func:`build_artifacts` runs the remaining ``k``-dependent stages and
   records the Schur sparsity breakdown (``nnz_h22`` / ``nnz_correction``)
   as build by-products, so sweeps never recompute the correction term.
-
-The embarrassingly-parallel stages (per-block LU inversion, the Schur
-column solves) accept ``n_jobs``; results are bit-identical for every
-worker count.
 """
 
 from __future__ import annotations
@@ -150,7 +146,6 @@ def build_artifacts(
     hub_ratio: float,
     deadend_reordering: bool = True,
     hub_selection: str = "slashburn",
-    n_jobs: int = 1,
     deadend_stage: Optional[DeadendStage] = None,
 ) -> PreprocessArtifacts:
     """Run Algorithm 1 lines 1-6 on ``graph``.
@@ -170,9 +165,6 @@ def build_artifacts(
     hub_selection:
         ``"slashburn"`` or ``"degree"`` (ordering ablation; see
         :func:`repro.reorder.hubspoke.hub_and_spoke_partition`).
-    n_jobs:
-        Worker threads for the parallel stages (block LU inversion, Schur
-        column solves); ``-1`` = all CPUs.  Bit-identical for every value.
     deadend_stage:
         Pre-computed :func:`run_deadend_stage` output to reuse (the
         hub-ratio sweep shares one across all candidates).  Must come from
@@ -212,13 +204,11 @@ def build_artifacts(
     timings["build_and_partition_h"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    h11_factors = factorize_block_diagonal(
-        blocks["H11"], hubspoke.block_sizes, n_jobs=n_jobs
-    )
+    h11_factors = factorize_block_diagonal(blocks["H11"], hubspoke.block_sizes)
     timings["factorize_h11"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    schur_parts = compute_schur_complement_parts(blocks, h11_factors, n_jobs=n_jobs)
+    schur_parts = compute_schur_complement_parts(blocks, h11_factors)
     timings["schur_complement"] = time.perf_counter() - start
 
     return PreprocessArtifacts(

@@ -14,13 +14,11 @@ correction product just to count it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import Mapping
 
-import numpy as np
 import scipy.sparse as sp
 
 from repro.linalg.block_lu import BlockDiagonalLU
-from repro.parallel import balanced_chunks, resolve_n_jobs, thread_map
 
 
 @dataclass(frozen=True)
@@ -42,36 +40,10 @@ class SchurComplementParts:
     nnz_correction: int
 
 
-def _solve_matrix_columns(
-    h11_factors: BlockDiagonalLU, h12: sp.spmatrix, n_jobs: int
-) -> sp.csr_matrix:
-    """``H11^{-1} H12`` with the columns of ``H12`` solved in chunks.
-
-    Each output column only depends on the matching input column, and the
-    per-entry accumulation order inside the sparse products is fixed by the
-    factors' row patterns, so chunking (and the ordered ``hstack``) is
-    bit-identical to the single full product.
-    """
-    n_cols = h12.shape[1]
-    if n_jobs == 1 or n_cols < 2:
-        return h11_factors.solve_matrix(h12)
-    csc = h12.tocsc()
-    nnz_per_column = np.diff(csc.indptr).astype(np.float64) + 1.0
-    chunks = balanced_chunks(nnz_per_column, n_jobs * 2)
-
-    def solve_chunk(bounds: Tuple[int, int]) -> sp.csr_matrix:
-        lo, hi = bounds
-        return h11_factors.solve_matrix(csc[:, lo:hi])
-
-    pieces = thread_map(solve_chunk, chunks, n_jobs)
-    return sp.hstack(pieces, format="csr")
-
-
 def compute_schur_complement_parts(
     blocks: Mapping[str, sp.csr_matrix],
     h11_factors: BlockDiagonalLU,
     drop_tolerance: float = 0.0,
-    n_jobs: int = 1,
 ) -> SchurComplementParts:
     """Compute ``S = H22 - H21 H11^{-1} H12`` and its sparsity breakdown.
 
@@ -86,11 +58,7 @@ def compute_schur_complement_parts(
         Entries with absolute value at or below this threshold are dropped
         from the result (0 keeps exact values; only numerically exact zeros
         are removed).
-    n_jobs:
-        Worker threads for the column-chunked ``H11^{-1} H12`` solve
-        (``-1`` = all CPUs).  The result is identical for every value.
     """
-    jobs = resolve_n_jobs(n_jobs)
     h12 = blocks["H12"]
     h21 = blocks["H21"]
     h22 = blocks["H22"]
@@ -99,7 +67,7 @@ def compute_schur_complement_parts(
         schur = h22.copy().tocsr()
         nnz_correction = 0
     else:
-        inner = _solve_matrix_columns(h11_factors, h12, jobs)
+        inner = h11_factors.solve_matrix(h12)
         correction = (h21 @ inner).tocsr()
         schur = (h22 - correction).tocsr()
         correction.eliminate_zeros()
@@ -118,7 +86,6 @@ def compute_schur_complement(
     blocks: Mapping[str, sp.csr_matrix],
     h11_factors: BlockDiagonalLU,
     drop_tolerance: float = 0.0,
-    n_jobs: int = 1,
 ) -> sp.csr_matrix:
     """Compute ``S = H22 - H21 H11^{-1} H12``.
 
@@ -126,5 +93,5 @@ def compute_schur_complement(
     only the Schur complement as a CSR matrix of dimension ``n2 x n2``.
     """
     return compute_schur_complement_parts(
-        blocks, h11_factors, drop_tolerance=drop_tolerance, n_jobs=n_jobs
+        blocks, h11_factors, drop_tolerance=drop_tolerance
     ).schur

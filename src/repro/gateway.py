@@ -1738,6 +1738,10 @@ class _WireServer:
         self._server: Optional[asyncio.base_events.Server] = None
         #: One task per open connection, so :meth:`close` can end them.
         self._connections: set = set()
+        #: Handlers answering a request, each with the monotonic time until
+        #: which :meth:`close` waits for its reply.
+        self._answering: Dict[asyncio.Task, float] = {}
+        self._closing = False
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -1759,15 +1763,27 @@ class _WireServer:
             await self._server.serve_forever()
 
     async def close(self) -> None:
-        """Stop accepting, then end every open connection's handler.
+        """Stop accepting, drain the requests in flight, then end every
+        open connection's handler.
 
-        Left running, the handlers would be cancelled by the event loop's
-        teardown instead, after the server and its pool are gone.
+        A request being answered gets until its deadline (see
+        :meth:`_drain_seconds`) to be answered and written; its handler then
+        ends.  Idle handlers, and handlers still answering past their
+        request's deadline, are cancelled.  Left running, the handlers would
+        be cancelled by the event loop's teardown instead, after the server
+        and its pool are gone.
         """
+        self._closing = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        await asyncio.gather(
+            *(
+                asyncio.wait({task}, timeout=max(until - time.monotonic(), 0.0))
+                for task, until in self._answering.items()
+            )
+        )
         handlers = list(self._connections)
         for task in handlers:
             task.cancel()
@@ -1795,10 +1811,16 @@ class _WireServer:
                     # failover/breaker machinery sees a dead link rather
                     # than a poisoned answer.
                     break
-                if request is None:
+                if request is None or self._closing:
                     break
-                reply = await self._answer(request)
-                await wire.write_message(writer, reply)
+                self._answering[task] = time.monotonic() + self._drain_seconds(request)
+                try:
+                    reply = await self._answer(request)
+                    await wire.write_message(writer, reply)
+                finally:
+                    del self._answering[task]
+                if self._closing:
+                    break
         except (ConnectionError, OSError):  # peer vanished mid-reply
             pass
         except asyncio.CancelledError:
@@ -1813,6 +1835,18 @@ class _WireServer:
                 await writer.wait_closed()
             except (OSError, asyncio.CancelledError):  # peer gone, or closing
                 pass
+
+    def _deadline_ms(self, request: wire.Request) -> Optional[float]:
+        """The request's budget: its deadline trailer, if it has one."""
+        return getattr(request, "deadline_ms", None)
+
+    def _drain_seconds(self, request: wire.Request) -> float:
+        """How long :meth:`close` waits for this request's reply: its
+        budget, else the gateway's timeout for one backend call."""
+        deadline_ms = self._deadline_ms(request)
+        if deadline_ms is None:
+            return DEFAULT_REQUEST_TIMEOUT
+        return deadline_ms / 1000.0
 
     async def _answer(self, request: wire.Request) -> wire.Reply:
         raise NotImplementedError
@@ -1979,10 +2013,9 @@ class GatewayServer(_WireServer):
         # default, those requests run unbounded as before.
         self.default_deadline_ms = default_deadline_ms
 
-    def _deadline_ms(self, request) -> Optional[float]:
-        if request.deadline_ms is not None:
-            return request.deadline_ms
-        return self.default_deadline_ms
+    def _deadline_ms(self, request: wire.Request) -> Optional[float]:
+        deadline_ms = super()._deadline_ms(request)
+        return self.default_deadline_ms if deadline_ms is None else deadline_ms
 
     async def _answer(self, request: wire.Request) -> wire.Reply:
         try:

@@ -5,23 +5,33 @@ with many small blocks.  Following Algorithm 1 (line 5) of the paper, we LU
 factorize each block and *invert the factors* so the query phase only needs
 two sparse matrix-vector products for ``H11^{-1} x = U1^{-1} (L1^{-1} x)``.
 
-``H11`` inherits strict column diagonal dominance from ``H``, so partial
-pivoting never actually permutes rows; we nevertheless fold the pivot
-permutation returned by the dense factorization into ``L^{-1}`` to stay
-correct on arbitrary (test-supplied) inputs.
+The blocks are processed in one pass per *block size*: all blocks of size
+``s`` are scattered into one ``(m, s, s)`` stack, factorized by LAPACK's
+partially pivoted ``getrf`` in one batched call, and their triangular
+factors inverted in one batched call; the CSR arrays of the inverted
+factors are then written straight from the block layout.  Every stack
+operation acts on each matrix alone, so a block's factors do not depend on
+which other blocks share its size (the incremental update refactorizes a
+subset of blocks and splices the result in), and they are bit-identical to
+a per-block ``scipy.linalg.lu`` + ``solve_triangular``.
+
+``H11`` inherits strict column diagonal dominance from ``H``: in every
+elimination step the diagonal entry is the largest in its column, so
+partial pivoting never permutes a row of ``H11``.  The pivot permutation is
+nevertheless folded into ``L^{-1}`` to stay correct on arbitrary
+(test-supplied) inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
 from repro.exceptions import InvalidParameterError, SingularMatrixError
-from repro.parallel import balanced_chunks, resolve_n_jobs, thread_map
 
 #: Relative singularity threshold: a pivot of ``U`` below
 #: ``size * eps * max|block|`` means the block is numerically singular and
@@ -56,53 +66,51 @@ class BlockDiagonalLU:
         return int(self.l_inv.nnz + self.u_inv.nnz)
 
 
-def _invert_block(block: np.ndarray, index: int = 0) -> tuple:
-    """Dense LU of one diagonal block; returns ``(inv(L) P^T, inv(U))``.
+def _invert_stack(stack: np.ndarray) -> tuple:
+    """Dense LU of ``(m, s, s)`` blocks; returns ``(inv(L) P^T, inv(U), pivots)``.
 
     With ``P L U = A`` we have ``A^{-1} = U^{-1} (L^{-1} P^T)``, so folding
     ``P^T`` into the lower factor keeps the two-factor solve of the paper.
-
-    Singularity is judged *relative to the block's magnitude*: a pivot at or
-    below ``size * eps * max|block|`` raises :class:`SingularMatrixError`
-    naming ``index`` instead of silently producing ``inf`` factors.
+    ``pivots`` holds each block's smallest ``|U_ii|``; the factors are only
+    valid where it clears the singularity tolerance.
     """
-    size = block.shape[0]
-    scale = float(np.abs(block).max()) if block.size else 0.0
-    tolerance = size * _PIVOT_RTOL * scale
+    size = stack.shape[1]
     if size == 1:
-        value = block[0, 0]
-        if abs(value) <= tolerance or value == 0.0:
-            raise SingularMatrixError(f"singular 1x1 diagonal block (block {index})")
-        return np.array([[1.0]]), np.array([[1.0 / value]])
-    p, l, u = sla.lu(block)
-    diag = np.abs(np.diag(u))
-    smallest = float(diag.min())
-    if smallest <= tolerance:
-        raise SingularMatrixError(
-            f"numerically singular diagonal block {index} of size {size}: "
-            f"pivot {smallest:.3e} <= tolerance {tolerance:.3e} "
-            f"(relative to block magnitude {scale:.3e})"
-        )
-    identity = np.eye(size)
-    l_inv = sla.solve_triangular(l, p.T, lower=True, unit_diagonal=True)
-    u_inv = sla.solve_triangular(u, identity, lower=False)
-    return l_inv, u_inv
+        values = stack[:, 0, 0]
+        with np.errstate(divide="ignore"):
+            return np.ones_like(stack), (1.0 / values)[:, None, None], np.abs(values)
+    rows, lower, upper = sla.lu(stack, p_indices=True)
+    pivots = np.abs(np.diagonal(upper, axis1=1, axis2=2)).min(axis=1)
+    ok = pivots > 0.0
+    l_inv = np.zeros_like(stack)
+    u_inv = np.zeros_like(stack)
+    l_inv[ok] = np.take_along_axis(
+        np.linalg.inv(lower[ok]), rows[ok][:, None, :], axis=2
+    )
+    u_inv[ok] = np.linalg.inv(upper[ok])
+    return l_inv, u_inv, pivots
+
+
+def _singular_error(index: int, size: int, pivot: float, scale: float) -> SingularMatrixError:
+    if size == 1:
+        return SingularMatrixError(f"singular 1x1 diagonal block (block {index})")
+    tolerance = size * _PIVOT_RTOL * scale
+    return SingularMatrixError(
+        f"numerically singular diagonal block {index} of size {size}: "
+        f"pivot {pivot:.3e} <= tolerance {tolerance:.3e} "
+        f"(relative to block magnitude {scale:.3e})"
+    )
 
 
 def factorize_block_diagonal(
     matrix: sp.spmatrix,
     block_sizes: Sequence[int],
-    n_jobs: int = 1,
 ) -> BlockDiagonalLU:
     """Factorize a block-diagonal sparse matrix and invert the LU factors.
 
-    The per-block dense views are batch-extracted straight from the raw CSR
-    arrays (blocks are contiguous row ranges, so each block's entries form
-    one contiguous slice of ``data``) instead of per-block CSR fancy
-    slicing, and the independent block inversions are spread over a thread
-    pool when ``n_jobs > 1`` — the LAPACK calls release the GIL.  Results
-    are assembled in block order, so the factors are bit-identical for
-    every ``n_jobs``.
+    The blocks are grouped by size and each group is factorized and
+    inverted as one ``(m, s, s)`` stack (see the module docstring); the
+    result is written as CSR in block order.
 
     Parameters
     ----------
@@ -111,8 +119,6 @@ def factorize_block_diagonal(
         blocks described by ``block_sizes``.
     block_sizes:
         Sizes of the consecutive diagonal blocks; must sum to the dimension.
-    n_jobs:
-        Worker threads for block inversion (``-1`` = all CPUs).
 
     Raises
     ------
@@ -120,10 +126,11 @@ def factorize_block_diagonal(
         If the block sizes do not tile the matrix, or an entry falls outside
         every block.
     SingularMatrixError
-        If any diagonal block is (numerically) singular; the message names
-        the offending block index.
+        If any diagonal block is (numerically) singular, judged relative to
+        the block's magnitude: a pivot at or below
+        ``size * eps * max|block|``.  The message names the first offending
+        block index.
     """
-    jobs = resolve_n_jobs(n_jobs)
     csr = sp.csr_matrix(matrix, dtype=np.float64)
     csr.sum_duplicates()
     n = csr.shape[0]
@@ -150,45 +157,51 @@ def factorize_block_diagonal(
             f"matrix entry ({coo.row[bad]}, {coo.col[bad]}) is outside the "
             "declared diagonal blocks"
         )
-
-    # Batch extraction: CSR stores entries row-major and every block is a
-    # contiguous row range, so block ``idx`` owns exactly the data slice
-    # ``entry_starts[idx]:entry_starts[idx + 1]``, already positioned by the
-    # block-local coordinates below.
-    entry_starts = csr.indptr[starts]
     local_rows = coo.row - starts[row_block]
-    local_cols = coo.col - starts[col_block]
-    data = coo.data
+    local_cols = coo.col - starts[row_block]
 
-    def invert_range(bounds: Tuple[int, int]) -> List[tuple]:
-        lo_block, hi_block = bounds
-        inverted = []
-        for idx in range(lo_block, hi_block):
-            size = int(sizes[idx])
-            dense = np.zeros((size, size), dtype=np.float64)
-            e0, e1 = entry_starts[idx], entry_starts[idx + 1]
-            dense[local_rows[e0:e1], local_cols[e0:e1]] = data[e0:e1]
-            inverted.append(_invert_block(dense, idx))
-        return inverted
-
+    # Block b's dense factors fill entries offsets[b]:offsets[b + 1] of the
+    # CSR data, row by row — the CSR layout of a block-diagonal matrix.
     n_blocks = int(sizes.size)
-    if jobs == 1 or n_blocks <= 1:
-        pairs = invert_range((0, n_blocks))
-    else:
-        # Contiguous chunks balanced by the O(size^3) inversion cost; the
-        # ordered gather keeps assembly deterministic.
-        chunks = balanced_chunks(sizes.astype(np.float64) ** 3, jobs * 4)
-        pairs = [
-            pair for chunk in thread_map(invert_range, chunks, jobs) for pair in chunk
-        ]
-    l_blocks = [pair[0] for pair in pairs]
-    u_blocks = [pair[1] for pair in pairs]
+    offsets = np.concatenate(([0], np.cumsum(sizes * sizes)))
+    l_data = np.empty(int(offsets[-1]))
+    u_data = np.empty(int(offsets[-1]))
+    pivots = np.empty(n_blocks)
+    scales = np.zeros(n_blocks)
+    np.maximum.at(scales, row_block, np.abs(coo.data))
 
-    l_sparse = sp.block_diag(l_blocks, format="csr") if l_blocks else sp.csr_matrix((0, 0))
-    u_sparse = sp.block_diag(u_blocks, format="csr") if u_blocks else sp.csr_matrix((0, 0))
-    # Inverted triangular factors of diagonally dominant blocks can contain
-    # numerically negligible fill; keep exact values (the paper stores them
-    # as-is) but drop explicit zeros.
-    l_sparse.eliminate_zeros()
-    u_sparse.eliminate_zeros()
-    return BlockDiagonalLU(l_inv=l_sparse, u_inv=u_sparse, block_sizes=sizes)
+    entry_sizes = sizes[row_block]
+    for size in np.unique(sizes).tolist():
+        ids = np.flatnonzero(sizes == size)
+        entries = np.flatnonzero(entry_sizes == size)
+        stack = np.zeros((ids.size, size, size))
+        slots = np.searchsorted(ids, row_block[entries])
+        stack[slots, local_rows[entries], local_cols[entries]] = coo.data[entries]
+        l_inv, u_inv, pivots[ids] = _invert_stack(stack)
+        where = offsets[ids][:, None] + np.arange(size * size)
+        l_data[where] = l_inv.reshape(ids.size, -1)
+        u_data[where] = u_inv.reshape(ids.size, -1)
+
+    singular = np.flatnonzero(pivots <= sizes * _PIVOT_RTOL * scales)
+    if singular.size:
+        index = int(singular[0])
+        raise _singular_error(
+            index, int(sizes[index]), float(pivots[index]), float(scales[index])
+        )
+
+    # Row r of block b holds sizes[b] entries, in columns starts[b]..+sizes[b].
+    row_owner = np.repeat(np.arange(n_blocks), sizes)
+    row_length = sizes[row_owner]
+    indptr = np.concatenate(([0], np.cumsum(row_length)))
+    indices = np.repeat(starts[row_owner], row_length) + (
+        np.arange(indptr[-1]) - np.repeat(indptr[:-1], row_length)
+    )
+    factors = []
+    for data in (l_data, u_data):
+        factor = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        # Inverted triangular factors carry structural zeros (the other
+        # triangle, and fill that cancels); keep exact values (the paper
+        # stores them as-is) but drop explicit zeros.
+        factor.eliminate_zeros()
+        factors.append(factor)
+    return BlockDiagonalLU(l_inv=factors[0], u_inv=factors[1], block_sizes=sizes)

@@ -132,9 +132,9 @@ class TestInterface:
             BePI(hub_ratio=0.0)
         with pytest.raises(InvalidParameterError):
             BePI(hub_ratio="magic")
-        # The preconditioner engine, Krylov method and fallback switch
-        # are no longer options.
-        for option in ("ilu_engine", "iterative_method", "fallback_chain"):
+        # The preconditioner engine, Krylov method, fallback switch and
+        # thread count are no longer options.
+        for option in ("ilu_engine", "iterative_method", "fallback_chain", "n_jobs"):
             with pytest.raises(TypeError):
                 BePI(**{option: None})
 
@@ -209,21 +209,3 @@ class TestAutoKAdoption:
         fixed = BePI(hub_ratio=0.2).preprocess(medium_graph)
         assert fixed.stats["preprocess_passes"] == 1
 
-
-class TestNJobs:
-    def test_parallel_scores_bit_identical(self, medium_graph):
-        serial = BePI(tol=1e-11, n_jobs=1).preprocess(medium_graph)
-        threaded = BePI(tol=1e-11, n_jobs=4).preprocess(medium_graph)
-        for seed in (0, 7, 100):
-            assert np.array_equal(serial.query(seed), threaded.query(seed))
-
-    def test_all_cpus_sentinel(self, small_graph):
-        solver = BePI(n_jobs=-1).preprocess(small_graph)
-        assert solver.stats["n_jobs"] >= 1
-        assert np.allclose(solver.query(0), exact_rwr(small_graph, 0.05, 0), atol=1e-7)
-
-    def test_invalid_n_jobs(self):
-        with pytest.raises(InvalidParameterError):
-            BePI(n_jobs=0)
-        with pytest.raises(InvalidParameterError):
-            BePI(n_jobs=-2)

@@ -1,13 +1,76 @@
-"""Tests for block-diagonal LU factorization with inverted factors."""
+"""Tests for block-diagonal LU factorization with inverted factors.
+
+The batched factorization is checked against :func:`reference_factorize`,
+the per-block ``scipy.linalg.lu`` + ``solve_triangular`` loop it replaced:
+the factors must be bit-equal, and a singular block must be reported with
+the same message (and so the same block index).
+"""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import generate_rmat
+from repro.core.bepi import DEFAULT_SPARSE_HUB_RATIO
+from repro.core.pipeline import build_artifacts
 from repro.exceptions import InvalidParameterError, SingularMatrixError
-from repro.linalg.block_lu import factorize_block_diagonal
+from repro.linalg.block_lu import _PIVOT_RTOL, BlockDiagonalLU, factorize_block_diagonal
+
+from .test_query_paths import graphs
+
+
+def _reference_invert_block(block: np.ndarray, index: int) -> tuple:
+    """``(inv(L) P^T, inv(U))`` of one block by LAPACK, one call each."""
+    size = block.shape[0]
+    scale = float(np.abs(block).max()) if block.size else 0.0
+    tolerance = size * _PIVOT_RTOL * scale
+    if size == 1:
+        value = block[0, 0]
+        if abs(value) <= tolerance or value == 0.0:
+            raise SingularMatrixError(f"singular 1x1 diagonal block (block {index})")
+        return np.array([[1.0]]), np.array([[1.0 / value]])
+    p, l, u = sla.lu(block)
+    smallest = float(np.abs(np.diag(u)).min())
+    if smallest <= tolerance:
+        raise SingularMatrixError(
+            f"numerically singular diagonal block {index} of size {size}: "
+            f"pivot {smallest:.3e} <= tolerance {tolerance:.3e} "
+            f"(relative to block magnitude {scale:.3e})"
+        )
+    l_inv = sla.solve_triangular(l, p.T, lower=True, unit_diagonal=True)
+    u_inv = sla.solve_triangular(u, np.eye(size), lower=False)
+    return l_inv, u_inv
+
+
+def reference_factorize(matrix, block_sizes) -> BlockDiagonalLU:
+    """One block at a time: dense block, LAPACK LU, two triangular solves,
+    then ``sp.block_diag`` over the inverted blocks."""
+    dense = sp.csr_matrix(matrix, dtype=np.float64).toarray()
+    l_blocks, u_blocks = [], []
+    start = 0
+    for index, size in enumerate(block_sizes):
+        block = dense[start:start + size, start:start + size]
+        l_inv, u_inv = _reference_invert_block(block, index)
+        l_blocks.append(l_inv)
+        u_blocks.append(u_inv)
+        start += size
+    factors = []
+    for blocks in (l_blocks, u_blocks):
+        factor = sp.block_diag(blocks, format="csr")
+        factor.eliminate_zeros()
+        factors.append(factor)
+    return BlockDiagonalLU(factors[0], factors[1], np.asarray(block_sizes))
+
+
+def assert_bit_equal(actual: BlockDiagonalLU, expected: BlockDiagonalLU) -> None:
+    for name in ("l_inv", "u_inv"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), (name, part)
 
 
 def _block_diag_matrix(block_sizes, seed):
@@ -131,27 +194,6 @@ class TestValidation:
         )
 
 
-class TestParallel:
-    @pytest.mark.parametrize("n_jobs", [2, 4])
-    def test_bit_identical_to_serial(self, n_jobs):
-        sizes = [3, 1, 5, 2, 4, 1, 1, 6]
-        mat, _ = _block_diag_matrix(sizes, seed=11)
-        serial = factorize_block_diagonal(mat, sizes, n_jobs=1)
-        threaded = factorize_block_diagonal(mat, sizes, n_jobs=n_jobs)
-        assert np.array_equal(serial.l_inv.toarray(), threaded.l_inv.toarray())
-        assert np.array_equal(serial.u_inv.toarray(), threaded.u_inv.toarray())
-
-    def test_parallel_singular_block_still_raises(self):
-        mat = sp.block_diag([np.eye(3), np.zeros((2, 2))], format="csr")
-        with pytest.raises(SingularMatrixError):
-            factorize_block_diagonal(mat, [3, 2], n_jobs=4)
-
-    def test_invalid_n_jobs(self):
-        mat, _ = _block_diag_matrix([2, 2], seed=0)
-        with pytest.raises(InvalidParameterError):
-            factorize_block_diagonal(mat, [2, 2], n_jobs=0)
-
-
 class TestProperty:
     @given(
         st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6),
@@ -164,3 +206,124 @@ class TestProperty:
         n = sum(block_sizes)
         b = np.random.default_rng(seed ^ 0x5A5A).standard_normal(n)
         assert np.allclose(mat.toarray() @ factors.solve(b), b, atol=1e-8)
+
+
+def _column_dominant_blocks(block_sizes, seed, density=1.0):
+    """Blocks whose diagonal exceeds the rest of its column, like ``H11``'s."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for size in block_sizes:
+        block = rng.standard_normal((size, size)) * (rng.random((size, size)) < density)
+        np.fill_diagonal(block, 0.0)
+        np.fill_diagonal(block, np.abs(block).sum(axis=0) + rng.uniform(0.1, 2.0, size))
+        blocks.append(block)
+    return blocks
+
+
+#: Block sizes 1-40, about half of them 1x1 (as in ``H11``).
+block_size_lists = st.lists(
+    st.one_of(st.just(1), st.integers(min_value=1, max_value=40)), min_size=1, max_size=12
+)
+seeds = st.integers(min_value=0, max_value=2**31 - 1)
+
+
+class TestReferenceOracle:
+    @given(block_size_lists, seeds, st.sampled_from([0.15, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_column_dominant_blocks_bit_equal(self, block_sizes, seed, density):
+        mat = sp.block_diag(_column_dominant_blocks(block_sizes, seed, density), format="csr")
+        assert_bit_equal(
+            factorize_block_diagonal(mat, block_sizes), reference_factorize(mat, block_sizes)
+        )
+
+    @given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=8), seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_row_swaps_solve_like_dense(self, block_sizes, seed):
+        """Rows shuffled within each block, so partial pivoting must swap
+        them back."""
+        rng = np.random.default_rng(seed)
+        blocks = [
+            block[rng.permutation(block.shape[0])]
+            for block in _column_dominant_blocks(block_sizes, seed)
+        ]
+        mat = sp.block_diag(blocks, format="csr")
+        factors = factorize_block_diagonal(mat, block_sizes)
+        rhs = rng.standard_normal((mat.shape[0], 3))
+        expected = np.linalg.solve(mat.toarray(), rhs)
+        assert np.abs(factors.solve(rhs) - expected).max() <= 1e-10
+        assert_bit_equal(factors, reference_factorize(mat, block_sizes))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=8),
+                st.sampled_from(["regular", "regular", "zero", "repeated_row", "near"]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        seeds,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_singular_blocks_name_reference_index(self, spec, seed):
+        """A zero block is always appended; earlier exactly or numerically
+        singular blocks must be the ones named, as by the reference."""
+        spec = spec + [(2, "zero")]
+        block_sizes = [size for size, _ in spec]
+        blocks = _column_dominant_blocks(block_sizes, seed)
+        for block, (size, kind) in zip(blocks, spec):
+            if kind == "zero":
+                block[:] = 0.0
+            elif kind == "repeated_row" and size > 1:
+                block[-1] = block[0]
+            elif kind == "near":
+                block *= 1e12
+                block[-1] = block[0] * (1.0 + np.finfo(np.float64).eps)
+        mat = sp.block_diag(blocks, format="csr")
+        with pytest.raises(SingularMatrixError) as expected:
+            reference_factorize(mat, block_sizes)
+        with pytest.raises(SingularMatrixError) as actual:
+            factorize_block_diagonal(mat, block_sizes)
+        assert str(actual.value) == str(expected.value)
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=10),
+        seeds,
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_subset_factors_equal_full_slices(self, block_sizes, seed, data):
+        """Refactorizing some blocks alone (as the incremental update does)
+        reproduces their slices of the full factors exactly."""
+        keep = data.draw(
+            st.lists(st.booleans(), min_size=len(block_sizes), max_size=len(block_sizes))
+            .filter(any)
+        )
+        mat = sp.block_diag(_column_dominant_blocks(block_sizes, seed, 0.5), format="csr")
+        starts = np.concatenate(([0], np.cumsum(block_sizes)))
+        idx = np.concatenate(
+            [np.arange(starts[b], starts[b + 1]) for b in np.flatnonzero(keep)]
+        )
+        full = factorize_block_diagonal(mat, block_sizes)
+        sub = factorize_block_diagonal(
+            mat[idx][:, idx], np.asarray(block_sizes)[np.asarray(keep)]
+        )
+        for name in ("l_inv", "u_inv"):
+            sliced = getattr(full, name)[idx][:, idx]
+            assert getattr(sub, name).nnz == sliced.nnz
+            assert np.array_equal(getattr(sub, name).toarray(), sliced.toarray())
+
+    @given(graph=graphs, hub_ratio=st.sampled_from([0.05, 0.25, 0.5]))
+    @settings(max_examples=40, deadline=None)
+    def test_generator_family_h11_bit_equal(self, graph, hub_ratio):
+        artifacts = build_artifacts(graph, 0.05, hub_ratio)
+        h11, sizes = artifacts.blocks["H11"], artifacts.block_sizes
+        assert_bit_equal(artifacts.h11_factors, reference_factorize(h11, sizes))
+
+    def test_benchmark_graph_bit_equal(self):
+        """The R-MAT scale-14 graph of ``perfbench`` (4,906 blocks, largest
+        12 rows): the published factors are the reference's."""
+        graph = generate_rmat(14, 8 * 2**14, seed=14)
+        artifacts = build_artifacts(graph, 0.05, DEFAULT_SPARSE_HUB_RATIO)
+        h11, sizes = artifacts.blocks["H11"], artifacts.block_sizes
+        assert_bit_equal(artifacts.h11_factors, reference_factorize(h11, sizes))

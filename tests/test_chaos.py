@@ -55,6 +55,10 @@ def _no_leaked_plan():
 
 DEADLINE_MS = 2000.0
 WINDOW = 0.025
+#: Seconds an opened breaker waits before its half-open probe.  It must
+#: outlast the whole outage phase (six ~30 ms queries), which reads the
+#: breaker OPEN; 1 s leaves a loaded machine a margin of several times.
+BREAKER_RESET = 1.0
 
 
 class TestChaosDrill:
@@ -80,7 +84,7 @@ class TestChaosDrill:
                     coalesce_window=WINDOW,
                     health_interval=0,
                     breaker_threshold=2,
-                    breaker_reset=0.15,
+                    breaker_reset=BREAKER_RESET,
                 )
                 async with gateway:
                     chaotic_seeds = [
@@ -109,7 +113,7 @@ class TestChaosDrill:
                         if (gateway.breakers["chaotic"].state
                                 == CircuitBreaker.CLOSED):
                             break
-                        await asyncio.sleep(0.16)  # > breaker_reset
+                        await asyncio.sleep(BREAKER_RESET + 0.1)
                         seed = chaotic_seeds[6]
                         started = time.monotonic()
                         answers[seed] = await gateway.query(

@@ -640,40 +640,87 @@ class TestGatewayValidation:
         asyncio.run(scenario())
 
 
+class _SlowServer(_WireServer):
+    """Answers a query for seed ``ms`` after sleeping ``ms`` milliseconds."""
+
+    def __init__(self, expected_requests: int):
+        super().__init__()
+        self.expected_requests = expected_requests
+        self.answering = asyncio.Event()
+
+    async def _answer(self, request):
+        self.expected_requests -= 1
+        if self.expected_requests == 0:
+            self.answering.set()
+        slept_ms = int(request.seeds[0])
+        await asyncio.sleep(slept_ms / 1000.0)
+        return wire.StatsReply(stats={"slept_ms": slept_ms})
+
+
+def _close_scenario(requests):
+    """Open an idle connection plus one connection per ``(sleep_ms,
+    deadline_ms)`` request, close the server while every request is being
+    answered, and return what is left: tasks, loop errors, close seconds,
+    and each connection's reply (or ``None``) and final read."""
+
+    async def scenario():
+        reported = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: reported.append(context)
+        )
+        server = _SlowServer(len(requests))
+        await server.start()
+        connections = [await asyncio.open_connection(*server.address)]
+        for sleep_ms, deadline_ms in requests:
+            connections.append(await asyncio.open_connection(*server.address))
+            request = wire.QueryRequest(
+                seeds=np.array([sleep_ms]), deadline_ms=deadline_ms
+            )
+            await wire.write_message(connections[-1][1], request)
+        await server.answering.wait()
+        started = asyncio.get_running_loop().time()
+        await server.close()
+        close_seconds = asyncio.get_running_loop().time() - started
+        left = [t for t in asyncio.all_tasks() if t is not asyncio.current_task()]
+        ends = []
+        for index, (reader, writer) in enumerate(connections):
+            reply = None
+            if index and requests[index - 1][0] < 60_000:
+                reply = await asyncio.wait_for(wire.read_message(reader), 10)
+            ends.append((reply, await asyncio.wait_for(reader.read(), 10)))
+            writer.close()
+            await writer.wait_closed()
+        return left, reported, close_seconds, ends
+
+    return asyncio.run(scenario())
+
+
 class TestServerClose:
     def test_close_ends_open_connection_handlers(self):
         """Closing a wire server ends the handlers of its open connections,
-        an idle one and one with a request in flight, normally: no task is
-        left for the event loop's teardown to cancel, nothing reaches the
-        loop's exception handler, and each client reads end-of-stream."""
-
-        class SlowServer(_WireServer):
-            async def _answer(self, request):
-                self.answering.set()
-                await asyncio.sleep(60)
-
-        async def scenario():
-            reported = []
-            asyncio.get_running_loop().set_exception_handler(
-                lambda loop, context: reported.append(context)
-            )
-            server = SlowServer()
-            server.answering = asyncio.Event()
-            await server.start()
-            idle = await asyncio.open_connection(*server.address)
-            busy = await asyncio.open_connection(*server.address)
-            await wire.write_message(busy[1], wire.StatsRequest())
-            await server.answering.wait()
-            await server.close()
-            left = [t for t in asyncio.all_tasks() if t is not asyncio.current_task()]
-            ends = []
-            for reader, writer in (idle, busy):
-                ends.append(await asyncio.wait_for(reader.read(), 10))
-                writer.close()
-                await writer.wait_closed()
-            return left, reported, ends
-
-        left, reported, ends = asyncio.run(scenario())
+        an idle one and one whose request overruns its deadline, normally:
+        no task is left for the event loop's teardown to cancel, nothing
+        reaches the loop's exception handler, and each client reads
+        end-of-stream."""
+        left, reported, close_seconds, ends = _close_scenario([(60_000, 200.0)])
         assert left == []
         assert reported == []
-        assert ends == [b"", b""]
+        assert ends == [(None, b""), (None, b"")]
+        assert close_seconds < 10
+
+    def test_close_drains_requests_in_flight(self):
+        """A request in flight when the server closes is answered and its
+        reply written before its handler ends; an idle connection still
+        reads end-of-stream, and the drain waits no longer than needed."""
+        left, reported, close_seconds, ends = _close_scenario(
+            [(300, 5000.0), (200, None), (60_000, 300.0)]
+        )
+        assert left == []
+        assert reported == []
+        idle, with_deadline, without_deadline, overrun = ends
+        assert idle == (None, b"")
+        assert with_deadline[0].stats == {"slept_ms": 300}
+        assert without_deadline[0].stats == {"slept_ms": 200}
+        assert with_deadline[1] == without_deadline[1] == b""
+        assert overrun == (None, b"")
+        assert close_seconds < 5

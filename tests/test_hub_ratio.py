@@ -85,28 +85,6 @@ class TestSelect:
         select_hub_ratio(medium_graph, c=0.05, candidates=(0.1, 0.2, 0.3))
         assert len(calls) == 1
 
-    def test_n_jobs_records_identical(self, medium_graph):
-        serial = select_hub_ratio(medium_graph, c=0.05, candidates=(0.1, 0.3))
-        threaded = select_hub_ratio(
-            medium_graph, c=0.05, candidates=(0.1, 0.3), n_jobs=2
-        )
-        assert serial.records == threaded.records
-        assert np.array_equal(
-            serial.artifacts.schur.toarray(), threaded.artifacts.schur.toarray()
-        )
-
-    def test_parallel_candidates_identical(self, medium_graph):
-        sequential = select_hub_ratio(medium_graph, c=0.05, candidates=(0.1, 0.3))
-        concurrent = select_hub_ratio(
-            medium_graph, c=0.05, candidates=(0.1, 0.3),
-            n_jobs=2, parallel_candidates=True,
-        )
-        assert sequential.records == concurrent.records
-        assert np.array_equal(
-            sequential.artifacts.schur.toarray(),
-            concurrent.artifacts.schur.toarray(),
-        )
-
     def test_sparsity_counts_populated(self, medium_graph):
         selection = select_hub_ratio(medium_graph, c=0.05, candidates=(0.2,))
         assert selection.artifacts.nnz_h22 == selection.best.nnz_h22

@@ -22,6 +22,7 @@ from repro.persistence import (
     load_artifacts,
     load_solver,
     save_artifacts,
+    solver_from_config,
     verify_artifacts,
 )
 
@@ -363,6 +364,23 @@ class TestRetiredBundles:
             solver.query_many_detailed(seeds).iterations,
         )
         assert np.array_equal(loaded.query_many(seeds), solver.query_many(seeds))
+
+    def test_manifest_with_n_jobs_loads(self, saved, tmp_path):
+        """Bundles whose config records the retired ``n_jobs`` thread count
+        load and answer bit-identically, and a solver rebuilt from that
+        config (the background and full-rebuild paths) answers the same."""
+        solver, _ = saved
+
+        def edit(target, manifest):
+            manifest["config"]["n_jobs"] = 4
+
+        path = self._copy(saved[1], tmp_path / "bundle", edit)
+        seeds = [0, 5, 17]
+        loaded = load_solver(path)
+        assert np.array_equal(loaded.query_many(seeds), solver.query_many(seeds))
+        config = json.loads((path / "manifest.json").read_text())["config"]
+        rebuilt = solver_from_config(config).preprocess(solver.graph)
+        assert np.array_equal(rebuilt.query_many(seeds), solver.query_many(seeds))
 
     @pytest.mark.parametrize("name", ["perm_r.npy", "perm_c.npy"])
     def test_manifest_naming_permutations_refused(self, saved, tmp_path, name):

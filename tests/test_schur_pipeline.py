@@ -5,7 +5,7 @@ import pytest
 
 from repro import Graph, InvalidParameterError
 from repro.core.pipeline import build_artifacts, run_deadend_stage
-from repro.core.schur import compute_schur_complement, compute_schur_complement_parts
+from repro.core.schur import compute_schur_complement
 from repro.linalg.block_lu import factorize_block_diagonal
 from repro.linalg.rwr_matrix import build_h_matrix, partition_h
 
@@ -140,26 +140,3 @@ class TestStagedPipeline:
         ).tocsr()
         correction.eliminate_zeros()
         assert artifacts.nnz_correction == int(correction.nnz)
-
-    def test_parallel_build_bit_identical(self, medium_graph):
-        serial = build_artifacts(medium_graph, c=0.05, hub_ratio=0.2, n_jobs=1)
-        threaded = build_artifacts(medium_graph, c=0.05, hub_ratio=0.2, n_jobs=4)
-        assert np.array_equal(
-            serial.h11_factors.l_inv.toarray(), threaded.h11_factors.l_inv.toarray()
-        )
-        assert np.array_equal(
-            serial.h11_factors.u_inv.toarray(), threaded.h11_factors.u_inv.toarray()
-        )
-        assert np.array_equal(serial.schur.toarray(), threaded.schur.toarray())
-
-    def test_parallel_schur_parts_bit_identical(self, medium_graph):
-        artifacts = build_artifacts(medium_graph, c=0.05, hub_ratio=0.2)
-        serial = compute_schur_complement_parts(
-            artifacts.blocks, artifacts.h11_factors, n_jobs=1
-        )
-        threaded = compute_schur_complement_parts(
-            artifacts.blocks, artifacts.h11_factors, n_jobs=3
-        )
-        assert np.array_equal(serial.schur.toarray(), threaded.schur.toarray())
-        assert serial.nnz_h22 == threaded.nnz_h22
-        assert serial.nnz_correction == threaded.nnz_correction
