@@ -118,6 +118,15 @@ class TestVariantPolicies:
         assert solver.stats["hub_ratio_sweep_seconds"] > 0
 
 
+class TestNJobs:
+    def test_invalid_n_jobs(self):
+        """The thread count is retired: every ``n_jobs`` value, formerly
+        valid or not, is rejected as an unknown keyword."""
+        for n_jobs in (0, -2, -1, 1, 4):
+            with pytest.raises(TypeError):
+                BePI(n_jobs=n_jobs)
+
+
 class TestInterface:
     def test_query_before_preprocess_raises(self):
         with pytest.raises(NotPreprocessedError):
@@ -132,9 +141,9 @@ class TestInterface:
             BePI(hub_ratio=0.0)
         with pytest.raises(InvalidParameterError):
             BePI(hub_ratio="magic")
-        # The preconditioner engine, Krylov method, fallback switch and
-        # thread count are no longer options.
-        for option in ("ilu_engine", "iterative_method", "fallback_chain", "n_jobs"):
+        # The preconditioner engine, Krylov method and fallback switch are
+        # no longer options.
+        for option in ("ilu_engine", "iterative_method", "fallback_chain"):
             with pytest.raises(TypeError):
                 BePI(**{option: None})
 
