@@ -274,7 +274,6 @@ async def _run_local(store_root, cfg):
         expected = _expected_rows(pool, n_nodes, cfg["n_seeds"])
         gateway = Gateway(
             [LocalBackend(pool)],
-            coalesce_window=cfg["window"],
             max_pending=cfg["max_pending"],
             health_interval=0,
         )
@@ -290,7 +289,7 @@ async def _run_external(gateway_endpoint, backend_endpoint, cfg):
     transport = WireTransport(*gateway_endpoint)
     stats = await transport.stats()
     print(f"external gateway: max_pending={stats['max_pending']} "
-          f"window={stats['coalesce_window']}s backends={list(stats['backends'])}")
+          f"backends={list(stats['backends'])}")
     n_nodes = cfg["n_nodes"]
     direct = WireTransport(*backend_endpoint) if backend_endpoint else None
     if direct is not None:
@@ -326,7 +325,6 @@ def run(args) -> dict:
         "clients": args.clients,
         "rounds": args.rounds,
         "burst": args.burst,
-        "window": args.window,
         "max_pending": args.max_pending,
     }
     if args.gateway:
@@ -429,9 +427,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="lockstep rounds per client (default: 4 / 10)")
     parser.add_argument("--burst", type=int, default=None,
                         help="overload burst size (default: 64 / 192)")
-    parser.add_argument("--window", type=float, default=0.01,
-                        help="coalescing window for the in-process gateway "
-                             "(default: 0.01)")
     parser.add_argument("--max-pending", type=int, default=16,
                         help="admission limit for the in-process gateway "
                              "(default: 16)")

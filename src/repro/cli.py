@@ -524,7 +524,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                     degrade_path, n_walks=args.degrade_walks
                 )
             overrides = {
-                "coalesce_window": args.coalesce_window,
                 "max_pending": args.max_pending,
                 "shed_queue_depth": args.shed_depth,
                 "breaker_threshold": args.breaker_threshold,
@@ -1021,6 +1020,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gw = sub.add_parser(
         "gateway",
         help="coalescing/shedding front door over serve --listen backends",
+        description="Coalescing, shedding, sharding front door.  A request "
+                    "to an idle shard is sent at once; requests arriving "
+                    "while that shard's batch is in flight are sent "
+                    "together when it returns.",
     )
     p_gw.add_argument("--listen", metavar="HOST:PORT", required=True,
                       help="address the gateway accepts wire clients on")
@@ -1033,10 +1036,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "artifact directory as a local backend")
     p_gw.add_argument("--workers", type=int, default=2,
                       help="worker processes for --artifacts (default: 2)")
-    p_gw.add_argument("--coalesce-window", type=float, default=None,
-                      metavar="SECONDS",
-                      help="coalescing window for concurrent single-seed "
-                           "requests (default: 0.002)")
     p_gw.add_argument("--max-pending", type=int, default=None, metavar="N",
                       help="in-flight requests admitted before shedding "
                            "(default: 1024)")

@@ -3,11 +3,12 @@
 :class:`repro.serve.WorkerPool` ends at a blocking single-host Python
 API.  This module adds everything between that API and real traffic:
 
-- **request coalescing** — concurrent single-seed requests arriving
-  within a short window are merged into one batched
-  ``query_many`` / ``query_topk_many`` call (the batched engine paths are
+- **request coalescing** — a request to an idle shard leaves on the
+  next event-loop turn; requests arriving while their shard's batch is in
+  flight leave together, as one batched ``query_many`` /
+  ``query_topk_many`` call, when it returns (the batched engine paths are
   ≥2x over looped single queries), so a thousand independent clients get
-  the throughput of a well-batched one;
+  the throughput of a well-batched one without a fixed wait;
 - **admission control** — when the number of in-flight requests reaches
   ``max_pending`` (or every backend reports a queue deeper than
   ``shed_queue_depth``), new arrivals are *shed* with a typed
@@ -53,9 +54,6 @@ from repro.core.topk import to_pairs, validate_k
 from repro.exceptions import InvalidParameterError
 from repro.serve import DeadlineExpired, WorkerPool, WorkerError
 from repro.telemetry import MetricsRegistry
-
-#: Seconds a flush timer waits for more requests to coalesce.
-DEFAULT_COALESCE_WINDOW = 0.002
 
 #: In-flight requests admitted before the gateway starts shedding.
 DEFAULT_MAX_PENDING = 1024
@@ -613,11 +611,6 @@ class Gateway:
         :class:`LocalBackend` / :class:`RemoteBackend` instances (anything
         with ``name``, ``query_many``, ``query_topk_many``, ``stats``,
         ``close``).  Names must be unique — they are the ring identities.
-    coalesce_window:
-        Seconds a flush timer waits after the first request of a batch;
-        everything arriving within the window joins the same backend
-        solve.  Latency cost is bounded by the window, throughput gain is
-        the batched engine path (≥2x).
     max_pending:
         Admission limit: requests in flight (queued or solving) before
         new arrivals are shed with :class:`Overloaded`.
@@ -674,7 +667,6 @@ class Gateway:
     def __init__(
         self,
         backends: Sequence[Any],
-        coalesce_window: float = DEFAULT_COALESCE_WINDOW,
         max_pending: int = DEFAULT_MAX_PENDING,
         shed_queue_depth: Optional[int] = None,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
@@ -693,10 +685,6 @@ class Gateway:
         backends = list(backends)
         if not backends:
             raise InvalidParameterError("gateway needs at least one backend")
-        if coalesce_window < 0:
-            raise InvalidParameterError(
-                f"coalesce_window must be >= 0, got {coalesce_window}"
-            )
         if max_pending < 1:
             raise InvalidParameterError(
                 f"max_pending must be >= 1, got {max_pending}"
@@ -707,7 +695,6 @@ class Gateway:
                 f"backend names must be unique, got {[b.name for b in backends]}"
             )
         self.ring = HashRing(list(self.backends), points=ring_points)
-        self.coalesce_window = float(coalesce_window)
         self.max_pending = int(max_pending)
         self.shed_queue_depth = shed_queue_depth
         self.request_timeout = float(request_timeout)
@@ -749,14 +736,17 @@ class Gateway:
         # degradation ladder.
         self._answer_cache: "OrderedDict[Tuple, Any]" = OrderedDict()
         self._answer_cache_size = int(answer_cache_size)
-        # Recent backend-call latencies feeding percentile hedging.
+        # Recent backend-call latencies feeding percentile hedging, the
+        # shed replies' retry hint and the deadline watchdog's margin.
         self._attempt_latencies: deque = deque(maxlen=512)
-        # mode key -> [(seed, future, trace_entry, deadline), ...] waiting
-        # for the flush timer; trace_entry is None for unsampled requests,
-        # deadline is an absolute monotonic instant or None.
+        # (mode, shard) -> [(seed, future, trace_entry, deadline), ...]
+        # waiting for the shard's next batch; trace_entry is None for
+        # unsampled requests, deadline is an absolute monotonic instant or
+        # None.
         self._pending: Dict[Tuple, List[Tuple[int, asyncio.Future, Any, Any]]] = {}
-        self._flush_handles: Dict[Tuple, asyncio.TimerHandle] = {}
-        self._flush_due: Dict[Tuple, float] = {}
+        # (mode, shard) -> (task, batch) of the batch in flight; the task is
+        # None while the batch is due to leave on the next loop turn.
+        self._in_flight: Dict[Tuple, Tuple[Optional[asyncio.Task], List]] = {}
         self._pending_total = 0
         self._depths: Dict[str, float] = {}
         # Backend name -> last full registry snapshot (OP_METRICS poll).
@@ -856,16 +846,21 @@ class Gateway:
             except asyncio.CancelledError:
                 pass
             self._monitor_task = None
-        for handle in self._flush_handles.values():
-            handle.cancel()
-        self._flush_handles.clear()
-        self._flush_due.clear()
-        for batch in self._pending.values():
-            for _, future, _, _ in batch:
-                self._pending_total -= 1
-                if not future.done():
-                    future.set_exception(BackendError("gateway closed"))
+        # Waiting requests and batches in flight both fail: cancelling the
+        # in-flight dispatches leaves no task running past close().
+        unanswered = [entry for batch in self._pending.values() for entry in batch]
         self._pending.clear()
+        tasks = []
+        for task, batch in self._in_flight.values():
+            unanswered += batch
+            if task is not None:
+                task.cancel()
+                tasks.append(task)
+        await asyncio.gather(*tasks, return_exceptions=True)
+        for _, future, _, _ in unanswered:
+            if not future.done():
+                future.set_exception(BackendError("gateway closed"))
+        self._pending_total = 0
         for backend in self.backends.values():
             await backend.close()
 
@@ -937,7 +932,6 @@ class Gateway:
             "pending": self._pending_total,
             "max_pending": self.max_pending,
             "shed_queue_depth": self.shed_queue_depth,
-            "coalesce_window": self.coalesce_window,
             "requests": self._requests.value,
             "sheds": self._sheds.value,
             "failovers": self._failovers.value,
@@ -980,7 +974,9 @@ class Gateway:
                 retry_after=compute_retry_after(
                     self._pending_total,
                     self.max_pending,
-                    max(self.coalesce_window * 4, 0.01),
+                    # Capacity frees when a batch returns: about one
+                    # backend call from now.
+                    max(self._call_percentile(50.0) or 0.0, 0.01),
                 ),
             )
         if self.shed_queue_depth is not None:
@@ -1037,21 +1033,24 @@ class Gateway:
                 "root": tracing.mint_id(),
                 "enqueued": time.time(),
             }
-        self._pending.setdefault(mode, []).append(
+        # Routed at admission, so a busy shard never holds back another.
+        key = (mode, self.ring.route(seed))
+        self._pending.setdefault(key, []).append(
             (seed, future, trace_entry, deadline)
         )
         self._pending_total += 1
-        self._schedule_flush(loop, mode, deadline)
+        if key not in self._in_flight:
+            # Idle shard: leave on the next loop turn, together with
+            # whatever else is submitted in this one (a gather).
+            self._in_flight[key] = (None, [])
+            loop.call_soon(self._flush, key)
         watchdog: Optional[asyncio.TimerHandle] = None
         if deadline is not None:
-            # Fire one coalesce window *before* the deadline: enough room
-            # to serve a degraded answer so the client never waits more
-            # than ~one window past its budget.  A budget tighter than
-            # the window uses a quarter of itself as the margin instead —
-            # the early flush (at half the budget) still gets a chance to
-            # answer exactly before the watchdog degrades.
+            # Fire early by the median backend call, about one solve's
+            # time to produce the degraded answer before the deadline; at
+            # most a quarter of the budget, the rest left to the exact one.
             remaining = deadline - time.monotonic()
-            margin = min(self.coalesce_window, remaining / 4.0)
+            margin = min(self._call_percentile(50.0) or 0.0, remaining / 4.0)
             fire_in = max(0.0, remaining - margin)
             watchdog = loop.call_later(
                 fire_in, self._deadline_watchdog, mode, seed, future, deadline
@@ -1091,40 +1090,12 @@ class Gateway:
                     )
                 )
 
-    def _schedule_flush(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        mode: Tuple,
-        deadline: Optional[float],
-    ) -> None:
-        """(Re)arm ``mode``'s flush timer.
-
-        Default delay is one coalesce window from the first request of
-        the batch.  A deadline shorter than the window would expire in
-        the coalescer, so a deadline-carrying request pulls the flush
-        forward to half its remaining budget — the batch loses some
-        coalescing in exchange for the request making its deadline.
-        """
-        delay = self.coalesce_window
-        if deadline is not None:
-            delay = min(delay, max(0.0, (deadline - time.monotonic()) / 2.0))
-        due = time.monotonic() + delay
-        handle = self._flush_handles.get(mode)
-        if handle is None:
-            self._flush_handles[mode] = loop.call_later(delay, self._flush, mode)
-            self._flush_due[mode] = due
-        elif due < self._flush_due.get(mode, float("inf")):
-            handle.cancel()
-            self._flush_handles[mode] = loop.call_later(delay, self._flush, mode)
-            self._flush_due[mode] = due
-
-    def _flush(self, mode: Tuple) -> None:
-        """Flush timer fired: group the window's requests per shard and
-        dispatch one batched backend call per group."""
-        self._flush_handles.pop(mode, None)
-        self._flush_due.pop(mode, None)
-        batch = self._pending.pop(mode, [])
-        if not batch:
+    def _flush(self, key: Tuple) -> None:
+        """Send the requests waiting on ``key = (mode, shard)`` as one
+        batch, and send the next when it returns (group commit)."""
+        batch = self._pending.pop(key, None)
+        if not batch:  # nothing arrived while the last batch was out
+            self._in_flight.pop(key, None)
             return
         now = time.time()
         for seed, _, entry, _ in batch:
@@ -1139,13 +1110,11 @@ class Gateway:
                         duration=max(0.0, now - entry["enqueued"]),
                     )
                 )
-        groups: Dict[str, List[Tuple[int, asyncio.Future, Any, Any]]] = {}
-        for seed, future, entry, deadline in batch:
-            groups.setdefault(self.ring.route(seed), []).append(
-                (seed, future, entry, deadline)
-            )
-        for name, group in groups.items():
-            asyncio.ensure_future(self._dispatch(mode, name, group))
+        mode, shard = key
+        task = asyncio.ensure_future(self._dispatch(mode, shard, batch))
+        self._in_flight[key] = (task, batch)
+        # Whether the batch succeeded, failed over, degraded or raised.
+        task.add_done_callback(lambda _: self._flush(key))
 
     # ------------------------------------------------------------------
     # Dispatch + failover
@@ -1212,20 +1181,20 @@ class Gateway:
             self._breaker_opened.inc()
         self._breaker_gauge(name).set(float(state_after))
 
+    def _call_percentile(self, percentile: float) -> Optional[float]:
+        """That percentile of recent backend-call seconds, or None."""
+        samples = sorted(self._attempt_latencies)
+        if len(samples) < 16:  # too little signal to call a tail
+            return None
+        return samples[min(len(samples) - 1, int(len(samples) * percentile / 100.0))]
+
     def _hedge_delay(self) -> Optional[float]:
         """Seconds to wait for the primary before hedging, or None."""
         if self._hedge_fixed is not None:
             return self._hedge_fixed
         if self._hedge_percentile is None:
             return None
-        samples = sorted(self._attempt_latencies)
-        if len(samples) < 16:  # too little signal to call a tail
-            return None
-        index = min(
-            len(samples) - 1,
-            int(len(samples) * self._hedge_percentile / 100.0),
-        )
-        return samples[index]
+        return self._call_percentile(self._hedge_percentile)
 
     @staticmethod
     def _group_deadline(
@@ -1721,8 +1690,7 @@ class Gateway:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"Gateway({list(self.backends)}, window={self.coalesce_window}, "
-            f"max_pending={self.max_pending})"
+            f"Gateway({list(self.backends)}, max_pending={self.max_pending})"
         )
 
 

@@ -15,6 +15,7 @@ from repro.gateway import (
     LocalBackend,
     Overloaded,
     PoolServer,
+    QueryError,
     RemoteBackend,
     _WireServer,
     parse_endpoint,
@@ -43,17 +44,30 @@ def pool(artifact_dir):
 
 
 class FakeBackend:
-    """In-memory backend that records every batched call it answers."""
+    """In-memory backend that records every batched call it answers.
 
-    def __init__(self, name="fake", n_cols=4, delay=0.0, fail=False):
+    With a ``gate`` (an :class:`asyncio.Event`), each dense call is first
+    recorded in ``held`` and then waits for the gate, so a test can hold a
+    batch in flight.  ``fail`` is ``True`` for a transport failure or an
+    exception to raise.
+    """
+
+    def __init__(self, name="fake", n_cols=4, delay=0.0, fail=False, gate=None):
         self.name = name
         self.n_cols = n_cols
         self.delay = delay
         self.fail = fail
+        self.gate = gate
+        self.held = []
         self.calls = []
         self.topk_calls = []
 
     async def query_many(self, seeds, trace=()):
+        if self.gate is not None:
+            self.held.append(list(seeds))
+            await self.gate.wait()
+        if isinstance(self.fail, Exception):
+            raise self.fail
         if self.fail:
             raise BackendError(f"backend {self.name}: injected failure")
         if self.delay:
@@ -133,9 +147,7 @@ class TestCoalescing:
         backend = FakeBackend()
 
         async def scenario():
-            async with Gateway(
-                [backend], coalesce_window=0.02, health_interval=0
-            ) as gateway:
+            async with Gateway([backend], health_interval=0) as gateway:
                 rows = await asyncio.gather(
                     *(gateway.query(seed) for seed in range(12))
                 )
@@ -154,9 +166,7 @@ class TestCoalescing:
         backend = FakeBackend()
 
         async def scenario():
-            async with Gateway(
-                [backend], coalesce_window=0.02, health_interval=0
-            ) as gateway:
+            async with Gateway([backend], health_interval=0) as gateway:
                 await asyncio.gather(*(gateway.query(s) for s in range(8)))
                 return gateway.registry.get(telemetry.GATEWAY_COALESCE_BATCH)
 
@@ -168,9 +178,7 @@ class TestCoalescing:
         backend = FakeBackend()
 
         async def scenario():
-            async with Gateway(
-                [backend], coalesce_window=0.02, health_interval=0
-            ) as gateway:
+            async with Gateway([backend], health_interval=0) as gateway:
                 dense, pairs = await asyncio.gather(
                     gateway.query(3), gateway.query_topk(5, k=2)
                 )
@@ -181,16 +189,177 @@ class TestCoalescing:
         assert pairs["id"][0] == 5
         assert len(backend.calls) == 1 and len(backend.topk_calls) == 1
 
-    def test_zero_window_still_answers(self):
+
+async def _until(condition, turns=1000):
+    """Yield loop turns (never sleeping) until ``condition()`` holds."""
+    for _ in range(turns):
+        if condition():
+            return
+        await asyncio.sleep(0)
+    raise AssertionError("condition never held")
+
+
+def _seed_on(gateway, name):
+    return next(s for s in range(256) if gateway.ring.route(s) == name)
+
+
+class TestWorkConservingCoalescing:
+    """Idle shard: leave on the next loop turn.  Busy shard: wait for the
+    batch in flight, then leave together."""
+
+    def test_lone_request_leaves_without_a_timer(self):
         backend = FakeBackend()
 
         async def scenario():
-            async with Gateway(
-                [backend], coalesce_window=0.0, health_interval=0
-            ) as gateway:
-                return await gateway.query(4)
+            async with Gateway([backend], health_interval=0) as gateway:
+                loop = asyncio.get_running_loop()
+                delays = []
+                call_later = loop.call_later
+                loop.call_later = lambda delay, *args, **kwargs: (
+                    delays.append(delay) or call_later(delay, *args, **kwargs)
+                )
+                try:
+                    task = asyncio.ensure_future(gateway.query(4))
+                    turns = 0
+                    while not backend.calls and turns < 100:
+                        await asyncio.sleep(0)
+                        turns += 1
+                finally:
+                    del loop.call_later
+                return await task, turns, delays, gateway.request_timeout
 
-        assert asyncio.run(scenario())[0] == 4.0
+        row, turns, delays, request_timeout = asyncio.run(scenario())
+        assert row[0] == 4.0
+        # The backend saw the request within a few loop turns that never
+        # slept, and the only timer armed was the backend call's timeout.
+        assert turns <= 4
+        assert all(delay == request_timeout for delay in delays)
+
+    def test_burst_during_in_flight_batch_leaves_in_one_call(self):
+        backend = FakeBackend(gate=asyncio.Event())
+
+        async def scenario():
+            async with Gateway([backend], health_interval=0) as gateway:
+                first = asyncio.ensure_future(gateway.query(0))
+                await _until(lambda: backend.held)
+                burst = []
+                for seed in range(1, 9):  # one arrival per loop turn
+                    burst.append(asyncio.ensure_future(gateway.query(seed)))
+                    await asyncio.sleep(0)
+                await asyncio.sleep(0.02)
+                held_while_busy = list(backend.held)
+                backend.gate.set()
+                rows = await asyncio.gather(first, *burst)
+                histogram = gateway.registry.get(
+                    telemetry.GATEWAY_COALESCE_BATCH
+                )
+                return held_while_busy, rows, histogram
+
+        held_while_busy, rows, histogram = asyncio.run(scenario())
+        assert held_while_busy == [[0]], "nothing may leave while busy"
+        assert backend.calls == [[0], list(range(1, 9))]
+        assert [row[0] for row in rows] == [float(s) for s in range(9)]
+        assert (histogram.count, histogram.sum) == (2, 9)
+
+    def test_busy_shard_does_not_delay_another_shard(self):
+        busy = FakeBackend(name="busy", gate=asyncio.Event())
+        idle = FakeBackend(name="idle")
+
+        async def scenario():
+            async with Gateway([busy, idle], health_interval=0) as gateway:
+                held = asyncio.ensure_future(
+                    gateway.query(_seed_on(gateway, "busy"))
+                )
+                await _until(lambda: busy.held)
+                seed = _seed_on(gateway, "idle")
+                row = await asyncio.wait_for(gateway.query(seed), 5.0)
+                still_held = not held.done()
+                busy.gate.set()
+                await held
+                return seed, row, still_held
+
+        seed, row, still_held = asyncio.run(scenario())
+        assert row[0] == float(seed)
+        assert still_held, "the busy shard's batch was still in flight"
+        assert idle.calls == [[seed]]
+
+    @pytest.mark.parametrize("outcome", ["failover", "degraded", "error"])
+    def test_follow_up_batch_leaves_after_any_outcome(self, outcome):
+        gate = asyncio.Event()
+        primary = FakeBackend(name="primary", gate=gate)
+        backends = [primary]
+        if outcome == "failover":
+            backends.append(FakeBackend(name="replica"))
+
+        async def scenario():
+            async with Gateway(
+                backends,
+                health_interval=0,
+                breaker_threshold=100,
+                retry_budget_burst=10.0 if outcome == "failover" else 0.0,
+                retry_budget_ratio=0.0,
+            ) as gateway:
+                seeds = [
+                    s for s in range(256)
+                    if gateway.ring.route(s) == "primary"
+                ][:2]
+                if outcome == "degraded":
+                    gate.set()  # warm the stale-answer cache
+                    await asyncio.gather(*(gateway.query(s) for s in seeds))
+                    gate.clear()
+                    primary.held.clear()
+                first = asyncio.ensure_future(
+                    gateway.query_detailed(seeds[0])
+                )
+                await _until(lambda: primary.held)
+                follow_up = asyncio.ensure_future(
+                    gateway.query_detailed(seeds[1])
+                )
+                await asyncio.sleep(0)
+                primary.fail = (
+                    QueryError("injected") if outcome == "error" else True
+                )
+                gate.set()
+                results = await asyncio.gather(
+                    first, follow_up, return_exceptions=True
+                )
+                return seeds, results
+
+        seeds, results = asyncio.run(scenario())
+        assert primary.held == [[seeds[0]], [seeds[1]]]
+        for seed, result in zip(seeds, results):
+            if outcome == "error":
+                assert isinstance(result, QueryError)
+            else:
+                assert result.value[0] == float(seed)
+                assert result.degraded == (outcome == "degraded")
+        if outcome == "failover":
+            assert backends[1].calls == [[seeds[0]], [seeds[1]]]
+
+    def test_close_fails_waiting_requests_and_leaves_no_task(self):
+        backend = FakeBackend(gate=asyncio.Event())
+
+        async def scenario():
+            gateway = await Gateway([backend], health_interval=0).start()
+            in_flight = asyncio.ensure_future(gateway.query(0))
+            await _until(lambda: backend.held)
+            waiting = asyncio.ensure_future(gateway.query(1))
+            await asyncio.sleep(0)
+            await gateway.close()
+            results = await asyncio.gather(
+                in_flight, waiting, return_exceptions=True
+            )
+            await asyncio.sleep(0)
+            others = asyncio.all_tasks() - {asyncio.current_task()}
+            return results, others, gateway
+
+        results, others, gateway = asyncio.run(scenario())
+        for result in results:
+            assert isinstance(result, BackendError)
+            assert "gateway closed" in str(result)
+        assert backend.held == [[0]], "the waiting request never left"
+        assert others == set()
+        assert gateway._in_flight == {} and gateway._pending == {}
 
 
 class TestAdmissionControl:
@@ -200,7 +369,6 @@ class TestAdmissionControl:
         async def scenario():
             async with Gateway(
                 [backend],
-                coalesce_window=0.01,
                 max_pending=3,
                 health_interval=0,
             ) as gateway:
@@ -227,7 +395,6 @@ class TestAdmissionControl:
         async def scenario():
             async with Gateway(
                 [backend],
-                coalesce_window=0.005,
                 max_pending=2,
                 health_interval=0,
             ) as gateway:
@@ -257,9 +424,7 @@ class TestGenerationSurfacing:
         backend.stats = stats
 
         async def scenario():
-            async with Gateway(
-                [backend], coalesce_window=0.0, health_interval=0.01
-            ) as gateway:
+            async with Gateway([backend], health_interval=0.01) as gateway:
                 for _ in range(100):
                     snapshot = await gateway.stats()
                     if snapshot["backends"]["shard0"]["generation"]:
@@ -287,9 +452,7 @@ class TestGenerationSurfacing:
         backend.stats = stats
 
         async def scenario():
-            async with Gateway(
-                [backend], coalesce_window=0.0, health_interval=0.01
-            ) as gateway:
+            async with Gateway([backend], health_interval=0.01) as gateway:
                 for _ in range(100):
                     snapshot = await gateway.stats()
                     if snapshot["backends"]["bare"]["generation"]:
@@ -312,9 +475,7 @@ class TestShardingAndFailover:
         right = FakeBackend(name="right")
 
         async def scenario():
-            async with Gateway(
-                [left, right], coalesce_window=0.02, health_interval=0
-            ) as gateway:
+            async with Gateway([left, right], health_interval=0) as gateway:
                 await asyncio.gather(*(gateway.query(s) for s in range(32)))
                 return gateway.ring
 
@@ -331,7 +492,7 @@ class TestShardingAndFailover:
 
         async def scenario():
             async with Gateway(
-                [healthy, broken], coalesce_window=0.02, health_interval=0
+                [healthy, broken], health_interval=0
             ) as gateway:
                 rows = await asyncio.gather(
                     *(gateway.query(s) for s in range(16))
@@ -351,7 +512,6 @@ class TestShardingAndFailover:
         async def scenario():
             async with Gateway(
                 [FakeBackend(name="a", fail=True), FakeBackend(name="b", fail=True)],
-                coalesce_window=0.0,
                 health_interval=0,
             ) as gateway:
                 with pytest.raises(BackendError, match="replica"):
@@ -366,7 +526,6 @@ class TestShardingAndFailover:
         async def scenario():
             async with Gateway(
                 [broken, healthy],
-                coalesce_window=0.0,
                 health_interval=0,
                 breaker_threshold=2,
                 breaker_reset=0.05,
@@ -449,7 +608,6 @@ class TestShardingAndFailover:
         async def scenario():
             async with Gateway(
                 [flaky, FakeBackend(name="steady")],
-                coalesce_window=0.0,
                 health_interval=0.01,
                 breaker_threshold=2,
                 breaker_reset=60.0,
@@ -478,7 +636,7 @@ class TestBitIdentityThroughGateway:
 
         async def scenario():
             async with Gateway(
-                [LocalBackend(pool)], coalesce_window=0.01, health_interval=0
+                [LocalBackend(pool)], health_interval=0
             ) as gateway:
                 rows = await asyncio.gather(
                     *(gateway.query(s) for s in seeds)
@@ -514,7 +672,6 @@ class TestWireTier:
                 ]
                 gateway = Gateway(
                     backends,
-                    coalesce_window=0.01,
                     health_interval=0,
                 )
                 async with gateway:
@@ -543,7 +700,7 @@ class TestWireTier:
 
         async def scenario():
             async with Gateway(
-                [LocalBackend(pool)], coalesce_window=0.01, health_interval=0
+                [LocalBackend(pool)], health_interval=0
             ) as gateway:
                 async with GatewayServer(gateway) as server:
                     host, port = server.address
@@ -598,9 +755,7 @@ class TestWireTier:
             async with PoolServer(pool) as server:
                 host, port = server.address
                 backend = RemoteBackend(host, port, name="only")
-                async with Gateway(
-                    [backend], coalesce_window=0.0, health_interval=0
-                ) as gateway:
+                async with Gateway([backend], health_interval=0) as gateway:
                     from repro.gateway import QueryError
 
                     with pytest.raises(QueryError, match="out of range"):
@@ -623,9 +778,7 @@ class TestGatewayValidation:
         with pytest.raises(InvalidParameterError):
             Gateway([FakeBackend(name="x"), FakeBackend(name="x")])
 
-    def test_rejects_bad_window_and_limit(self):
-        with pytest.raises(InvalidParameterError):
-            Gateway([FakeBackend()], coalesce_window=-1)
+    def test_rejects_bad_limit(self):
         with pytest.raises(InvalidParameterError):
             Gateway([FakeBackend()], max_pending=0)
 

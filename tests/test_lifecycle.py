@@ -246,9 +246,7 @@ class TestGatewayDeadlines:
     def test_zero_budget_at_admission_raises(self):
         async def scenario():
             backend = FakeBackend()
-            async with Gateway(
-                [backend], coalesce_window=0.0, health_interval=0
-            ) as gateway:
+            async with Gateway([backend], health_interval=0) as gateway:
                 with pytest.raises(DeadlineExpired, match="admission"):
                     await gateway.query(1, deadline_ms=0.0)
                 with pytest.raises(DeadlineExpired, match="admission"):
@@ -266,7 +264,6 @@ class TestGatewayDeadlines:
             answerer = FakeAnswerer()
             async with Gateway(
                 [backend],
-                coalesce_window=0.0,
                 health_interval=0,
                 degraded_answerer=answerer,
             ) as gateway:
@@ -280,28 +277,43 @@ class TestGatewayDeadlines:
         assert isinstance(result, GatewayResult)
         assert np.all(result.value == 0.5)
 
-    def test_deadline_shorter_than_window_still_answers_in_budget(self):
-        """A 30 ms budget under a 10 s coalesce window must not wait 10 s."""
+    def test_deadline_behind_busy_shard_answers_in_budget(self):
+        """A 30 ms budget must not wait out a 10 s batch in flight: behind
+        it the watchdog degrades in budget, and another shard answers it
+        exactly."""
 
         async def scenario():
-            backend = FakeBackend(delay=0.0)
+            slow = FakeBackend(name="slow", delay=10.0)
+            fast = FakeBackend(name="fast")
             answerer = FakeAnswerer()
-            async with Gateway(
-                [backend],
-                coalesce_window=10.0,
-                health_interval=0,
-                degraded_answerer=answerer,
-            ) as gateway:
-                started = time.monotonic()
-                result = await gateway.query_detailed(5, deadline_ms=30.0)
-                elapsed = time.monotonic() - started
-                return result, elapsed
+            gateway = Gateway(
+                [slow, fast], health_interval=0, degraded_answerer=answerer
+            )
+            async with gateway:
+                on_slow, on_fast = (
+                    next(s for s in range(256) if gateway.ring.route(s) == name)
+                    for name in ("slow", "fast")
+                )
+                in_flight = asyncio.ensure_future(gateway.query(on_slow))
+                await asyncio.sleep(0.01)  # the slow shard is now busy
+                outcomes = []
+                for seed in (on_slow, on_fast):
+                    started = time.monotonic()
+                    result = await gateway.query_detailed(seed, deadline_ms=30.0)
+                    outcomes.append((result, time.monotonic() - started))
+            with pytest.raises(BackendError, match="gateway closed"):
+                await in_flight
+            return outcomes, on_fast
 
-        result, elapsed = asyncio.run(scenario())
-        # The early flush (min(window, remaining/2)) dispatches the batch
-        # well inside the budget, so the reply is exact, not degraded.
-        assert elapsed < 0.5
-        assert not result.degraded
+        outcomes, on_fast = asyncio.run(scenario())
+        (held, held_s), (idle, idle_s) = outcomes
+        # Behind the busy shard the watchdog answers from the ladder...
+        assert held_s < 0.5
+        assert held.degraded
+        # ...while the idle shard dispatches at once: exact, in budget.
+        assert idle_s < 0.5
+        assert not idle.degraded
+        assert idle.value[0] == pytest.approx(float(on_fast))
 
     def test_watchdog_degrades_when_backend_outlasts_budget(self):
         async def scenario():
@@ -309,7 +321,6 @@ class TestGatewayDeadlines:
             answerer = FakeAnswerer()
             async with Gateway(
                 [backend],
-                coalesce_window=0.005,
                 health_interval=0,
                 degraded_answerer=answerer,
             ) as gateway:
@@ -322,9 +333,8 @@ class TestGatewayDeadlines:
         result, elapsed, stats = asyncio.run(scenario())
         assert result.degraded
         assert result.error_bound == pytest.approx(0.25)
-        # Never more than ~one coalesce window past the budget (plus
-        # scheduler slack).
-        assert elapsed < 0.060 + 0.005 + 0.1
+        # Never past the budget (plus scheduler slack).
+        assert elapsed < 0.060 + 0.1
         assert stats["deadline_exceeded"] == 1
         assert stats["degraded"] == 1
 
@@ -333,7 +343,6 @@ class TestGatewayDeadlines:
             backend = FakeBackend(delay=0.5)
             async with Gateway(
                 [backend],
-                coalesce_window=0.005,
                 health_interval=0,
                 answer_cache_size=0,
             ) as gateway:
@@ -348,9 +357,7 @@ class TestGatewayDeadlines:
 
         async def scenario():
             backend = FakeBackend()
-            async with Gateway(
-                [backend], coalesce_window=0.05, health_interval=0
-            ) as gateway:
+            async with Gateway([backend], health_interval=0) as gateway:
                 bounded = asyncio.create_task(
                     gateway.query(1, deadline_ms=5000.0)
                 )
@@ -368,9 +375,7 @@ class TestGatewayDeadlines:
     def test_all_bounded_batch_forwards_remaining_budget(self):
         async def scenario():
             backend = FakeBackend()
-            async with Gateway(
-                [backend], coalesce_window=0.02, health_interval=0
-            ) as gateway:
+            async with Gateway([backend], health_interval=0) as gateway:
                 first = asyncio.create_task(
                     gateway.query(1, deadline_ms=5000.0)
                 )
@@ -396,7 +401,6 @@ class TestGatewayDeadlines:
             answerer = FakeAnswerer()
             async with Gateway(
                 [backend],
-                coalesce_window=0.01,
                 health_interval=0,
                 degraded_answerer=answerer,
             ) as gateway:
@@ -454,7 +458,6 @@ class TestBreakerIntegration:
             good = FakeBackend(name="good")
             async with Gateway(
                 [bad, good],
-                coalesce_window=0.0,
                 health_interval=0,
                 breaker_threshold=3,
                 breaker_reset=60.0,
@@ -479,7 +482,6 @@ class TestBreakerIntegration:
             good = FakeBackend(name="good")
             async with Gateway(
                 [bad, good],
-                coalesce_window=0.0,
                 health_interval=0,
                 breaker_threshold=1,
                 breaker_reset=60.0,
@@ -503,7 +505,6 @@ class TestBreakerIntegration:
             good = FakeBackend(name="good")
             async with Gateway(
                 [flaky, good],
-                coalesce_window=0.0,
                 health_interval=0,
                 breaker_threshold=1,
                 breaker_reset=0.05,
@@ -537,7 +538,6 @@ class TestBreakerIntegration:
             answerer = FakeAnswerer()
             async with Gateway(
                 [bad, good],
-                coalesce_window=0.0,
                 health_interval=0,
                 breaker_threshold=100,  # keep the breaker out of the way
                 retry_budget_ratio=0.0,
@@ -566,7 +566,6 @@ class TestHedging:
             fast = FakeBackend(name="fast", delay=0.0)
             async with Gateway(
                 [slow, fast],
-                coalesce_window=0.0,
                 health_interval=0,
                 hedge_after=0.02,
             ) as gateway:
@@ -592,7 +591,6 @@ class TestHedging:
             b = FakeBackend(name="b")
             async with Gateway(
                 [a, b],
-                coalesce_window=0.0,
                 health_interval=0,
                 hedge_after=0.25,
             ) as gateway:
@@ -623,7 +621,6 @@ class TestDegradationLadder:
             backend = FakeBackend(name="only")
             async with Gateway(
                 [backend],
-                coalesce_window=0.0,
                 health_interval=0,
                 breaker_threshold=100,
                 retry_budget_burst=0.0,
@@ -649,7 +646,6 @@ class TestDegradationLadder:
             backend = FakeBackend(name="only")
             async with Gateway(
                 [backend],
-                coalesce_window=0.02,
                 health_interval=0,
                 breaker_threshold=100,
                 retry_budget_burst=0.0,
@@ -675,7 +671,6 @@ class TestDegradationLadder:
             answerer = FakeAnswerer(bound=0.125)
             async with Gateway(
                 [backend],
-                coalesce_window=0.0,
                 health_interval=0,
                 breaker_threshold=100,
                 retry_budget_burst=0.0,
@@ -698,7 +693,6 @@ class TestDegradationLadder:
             backend = FakeBackend(name="only", fail=True)
             async with Gateway(
                 [backend],
-                coalesce_window=0.0,
                 health_interval=0,
                 breaker_threshold=100,
                 retry_budget_burst=0.0,
@@ -720,7 +714,6 @@ class TestDegradationLadder:
             answerer = FakeAnswerer(bound=0.2)
             async with Gateway(
                 [backend],
-                coalesce_window=0.0,
                 health_interval=0,
                 retry_budget_burst=0.0,
                 retry_budget_ratio=0.0,
@@ -759,7 +752,6 @@ class TestGatewayServerDeadlines:
             answerer = FakeAnswerer()
             async with Gateway(
                 [backend],
-                coalesce_window=0.005,
                 health_interval=0,
                 degraded_answerer=answerer,
             ) as gateway:

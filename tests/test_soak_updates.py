@@ -111,7 +111,6 @@ class TestSwapSoak:
                 async def run():
                     gateway = Gateway(
                         [LocalBackend(gw_pool, name="soak")],
-                        coalesce_window=0.002,
                         health_interval=0.05,
                     )
                     async with gateway:

@@ -244,8 +244,7 @@ class TestGatewayTracePropagation:
                 async with PoolServer(pool) as server:
                     backend = RemoteBackend(*server.address)
                     async with Gateway(
-                        [backend], coalesce_window=0.01,
-                        health_interval=0, tracer=tracer,
+                        [backend], health_interval=0, tracer=tracer,
                     ) as gateway:
                         await gateway.query_topk(3, 5)
 
@@ -272,8 +271,7 @@ class TestGatewayTracePropagation:
                 async with PoolServer(pool) as server:
                     backend = RemoteBackend(*server.address)
                     async with Gateway(
-                        [backend], coalesce_window=0.05,
-                        health_interval=0, tracer=tracer,
+                        [backend], health_interval=0, tracer=tracer,
                     ) as gateway:
                         await asyncio.gather(
                             gateway.query(1), gateway.query(2)
@@ -300,8 +298,7 @@ class TestGatewayTracePropagation:
                 async with PoolServer(pool) as server:
                     backend = RemoteBackend(*server.address)
                     async with Gateway(
-                        [backend], coalesce_window=0.01,
-                        health_interval=0, tracer=tracer,
+                        [backend], health_interval=0, tracer=tracer,
                     ) as gateway:
                         async with GatewayServer(gateway) as front:
                             await gateway.query_topk(2, 4)
@@ -335,8 +332,7 @@ class TestFleetRendering:
                 async with PoolServer(pool) as server:
                     backend = RemoteBackend(*server.address)
                     async with Gateway(
-                        [backend], coalesce_window=0.01,
-                        health_interval=0.1, tracer=tracer,
+                        [backend], health_interval=0.1, tracer=tracer,
                     ) as gateway:
                         for seed in range(4):
                             await gateway.query_topk(seed, 5)
