@@ -1,17 +1,17 @@
-"""Dynamic update benchmark: incremental correction vs full re-preprocess.
+"""Dynamic update benchmark: incremental update vs full re-preprocess.
 
 Measures what the layered update pipeline buys a serving deployment that
 must track a changing graph:
 
 - **update cost** — :func:`repro.core.incremental.apply_batch` turning
   the old adjacency and a batch into the new adjacency, timed next to
-  the correction it feeds.
-- **correction speed** — an edge-update batch applied as a
-  partition-reusing correction (:func:`repro.core.incremental
-  .incremental_update`: refactorize only the affected ``H11`` diagonal
-  blocks, low-rank-correct the Schur complement) versus re-running the
-  full BePI preprocess on the updated graph.
-- **tracked accuracy** — the correction carries a guaranteed L1 error
+  the incremental update it feeds.
+- **update speed** — an edge-update batch applied as a partition-reusing
+  update (:func:`repro.core.incremental.incremental_update`: keep the old
+  ordering, rebuild ``H`` and re-run the batched ``H11`` inversion, the
+  Schur complement and its preconditioner) versus re-running the full
+  BePI preprocess, reordering included, on the updated graph.
+- **tracked accuracy** — the update carries a guaranteed L1 error
   bound (``0.0`` = exact); the benchmark checks the observed deviation
   from a from-scratch solver never exceeds it.
 - **zero-downtime swaps** — a :class:`~repro.serve.WorkerPool` keeps
@@ -24,11 +24,11 @@ Results land in ``BENCH_dynamic.json`` (``--output``).
 Run modes
 ---------
 ``--smoke``
-    Scale-10 graph; checks the correction is not slower than a full
+    Scale-10 graph; checks the update is not slower than a full
     rebuild and that serving survives the swaps.  Fast enough for CI.
 default (full)
     Scale-13 R-MAT; additionally asserts the acceptance number:
-    correction >= 3x faster than the full re-preprocess.
+    update >= 3x faster than the full re-preprocess.
 
 Usage::
 
@@ -82,7 +82,7 @@ def _reweight_batch(graph, n_updates: int, rng) -> UpdateBatch:
     return UpdateBatch(added=added)
 
 
-def _bench_correction(graph, solver, n_updates: int, repeats: int):
+def _bench_update(graph, solver, n_updates: int, repeats: int):
     rng = np.random.default_rng(7)
     batch = _reweight_batch(graph, n_updates, rng)
     apply_rounds = []
@@ -94,13 +94,13 @@ def _bench_correction(graph, solver, n_updates: int, repeats: int):
     assert new_graph is not None
     apply_seconds = float(np.median(apply_rounds))
 
-    correction_rounds = []
+    update_rounds = []
     result = None
     for _ in range(repeats):
         start = time.perf_counter()
         result = incremental_update(solver.solver_artifacts, new_graph)
-        correction_rounds.append(time.perf_counter() - start)
-    correction = float(np.median(correction_rounds))
+        update_rounds.append(time.perf_counter() - start)
+    update = float(np.median(update_rounds))
 
     full_rounds = []
     fresh = None
@@ -112,16 +112,16 @@ def _bench_correction(graph, solver, n_updates: int, repeats: int):
         full_rounds.append(time.perf_counter() - start)
     full = float(np.median(full_rounds))
 
-    speedup = full / correction if correction > 0 else float("inf")
+    speedup = full / update if update > 0 else float("inf")
     print(f"update batch: {batch.n_updates} edge reweights")
     print(f"apply batch  {apply_seconds * 1e3:9.1f}ms   (new adjacency from "
           f"the old one)")
-    print(f"correction   {correction * 1e3:9.1f}ms "
-          f"({result.n_affected_blocks}/{result.n_blocks} H11 blocks "
-          f"refactorized, bound {result.error_bound:.3g})")
+    print(f"incremental  {update * 1e3:9.1f}ms "
+          f"(all {result.n_affected_blocks} H11 blocks refactorized in one "
+          f"batched pass, bound {result.error_bound:.3g})")
     print(f"full rebuild {full * 1e3:9.1f}ms   ({speedup:.1f}x slower)")
 
-    # Tracked-accuracy check: the corrected bundle's answers deviate from
+    # Tracked-accuracy check: the updated bundle's answers deviate from
     # a from-scratch solver by at most the bound (exact bound 0.0 means
     # agreement down to solver tolerance).
     engine = engine_for_bundle(result.bundle)
@@ -140,7 +140,7 @@ def _bench_correction(graph, solver, n_updates: int, repeats: int):
     )
     print(f"accuracy     observed L1 deviation {observed:.3g} "
           f"<= bound {result.error_bound:.3g} + solver tolerance")
-    return apply_seconds, correction, full, speedup, result, observed
+    return apply_seconds, update, full, speedup, result, observed
 
 
 def _bench_swap_service(graph, solver, workdir: Path):
@@ -202,7 +202,7 @@ def run(
     import tempfile
 
     graph, solver = _build(scale, n_edges)
-    apply_seconds, correction, full, speedup, result, observed = _bench_correction(
+    apply_seconds, update, full, speedup, result, observed = _bench_update(
         graph, solver, n_updates, repeats
     )
     with tempfile.TemporaryDirectory() as tmp:
@@ -211,11 +211,11 @@ def run(
         )
 
     assert speedup > 1, (
-        f"correction not faster than a full rebuild ({speedup:.2f}x)"
+        f"incremental update not faster than a full rebuild ({speedup:.2f}x)"
     )
     if not smoke:
         assert speedup >= 3, (
-            f"correction only {speedup:.1f}x faster than the full "
+            f"incremental update only {speedup:.1f}x faster than the full "
             f"re-preprocess at scale {scale} (want >= 3x)"
         )
 
@@ -226,9 +226,9 @@ def run(
         "n_nodes": graph.n_nodes,
         "n_edges": graph.n_edges,
         "n_updates": n_updates,
-        "correction": {
+        "incremental": {
             "apply_batch_seconds": apply_seconds,
-            "seconds": correction,
+            "seconds": update,
             "full_rebuild_seconds": full,
             "speedup": speedup,
             "affected_blocks": result.n_affected_blocks,

@@ -54,8 +54,6 @@ from repro.core.engine import (
 from repro.core.incremental import (
     IncrementalResult,
     UpdateBatch,
-    UpdateResult,
-    build_updated_bundle,
     incremental_update,
 )
 from repro.core.hub_ratio import (
@@ -159,12 +157,10 @@ __all__ = [
     "TopKCache",
     "TopKResult",
     "UpdateBatch",
-    "UpdateResult",
     "WorkerPool",
     "accuracy_bound",
     "add_deadends",
     "artifact_nbytes",
-    "build_updated_bundle",
     "choose_hub_ratio",
     "datasets",
     "generate_bipartite",

@@ -10,12 +10,14 @@ suited to it because its preprocessing is fast.
 :class:`~repro.core.base.RWRSolver` — and, for BePI, improves on it in two
 independent directions:
 
-- **Incremental corrections** (:mod:`repro.core.incremental`): an
-  effective update batch is first applied to the existing artifacts as a
-  partition-reusing correction with a tracked L1 error bound instead of a
-  full re-preprocess; only when the bound exceeds :attr:`error_bound`
-  (default ``0.0`` — exact corrections only) does the wrapper fall back to
-  re-preprocessing from scratch.
+- **Incremental updates** (:mod:`repro.core.incremental`): an effective
+  update batch keeps the current ordering and partition and re-runs only
+  the factorization stages of preprocessing, with a tracked L1 error
+  bound for the entries the kept partition cannot serve; only when the
+  bound exceeds :attr:`error_bound` (default ``0.0`` — exact updates
+  only) does the wrapper re-preprocess from scratch.  One function,
+  :func:`rebuild_solver`, makes that choice for the synchronous and the
+  background path alike.
 - **Background rebuilds** (``background=True``, requires an
   ``artifact_store``): the effective batch is handed to a supervised child
   process that builds and publishes the next :class:`ArtifactStore`
@@ -55,12 +57,8 @@ import numpy as np
 from repro import telemetry
 from repro.core.base import BatchQueryResult, QueryResult, RWRSolver
 from repro.core.bepi import BePI
-from repro.core.incremental import (
-    UpdateBatch,
-    apply_batch,
-    build_updated_bundle,
-    incremental_update,
-)
+from repro.core.engine import SolverArtifacts
+from repro.core.incremental import UpdateBatch, apply_batch, incremental_update
 from repro.core.topk import TopKResult
 from repro.exceptions import InvalidParameterError, ReproError
 from repro.graph.graph import Graph
@@ -80,6 +78,35 @@ class BackgroundRebuildError(ReproError):
     """A background rebuild child died or reported a failure."""
 
 
+def rebuild_solver(
+    bundle: Optional[SolverArtifacts],
+    new_graph: Graph,
+    solver_factory: Callable[[], RWRSolver],
+    bound_threshold: float = 0.0,
+) -> Tuple[RWRSolver, str, float]:
+    """A query-ready solver for ``new_graph``: the update policy.
+
+    With a parent ``bundle``, :func:`~repro.core.incremental.incremental_update`
+    is tried first; when its tracked error bound exceeds
+    ``bound_threshold`` (``0.0`` admits only *exact* updates), or without
+    a bundle, ``new_graph`` is re-preprocessed in full by a solver from
+    ``solver_factory``, which re-partitions and resets the bound.
+
+    Returns ``(solver, mode, error_bound)`` with ``mode`` either
+    ``"incremental"`` or ``"full"``.
+    """
+    if bundle is not None:
+        result = incremental_update(bundle, new_graph, bound_threshold=bound_threshold)
+        if result is not None:
+            from repro.persistence import solver_from_bundle
+
+            solver = solver_from_bundle(result.bundle, "incremental-update")
+            return solver, "incremental", result.error_bound
+    solver = solver_factory()
+    solver.preprocess(new_graph)
+    return solver, "full", 0.0
+
+
 def _background_rebuild_main(
     store_root: str,
     batch_payload: Dict[str, Any],
@@ -88,13 +115,15 @@ def _background_rebuild_main(
 ) -> None:
     """Entry point of the background rebuild child (spawn start method).
 
-    Opens the store's *current* generation, applies the batch, builds the
-    updated bundle (incremental correction with full-rebuild fallback) and
-    publishes it as the next generation with lineage metadata.  The parent
-    learns the outcome through ``result_queue``:
+    Opens the store's *current* generation, applies the batch, rebuilds
+    through :func:`rebuild_solver` (full rebuilds reproduce the bundle's
+    own build configuration) and publishes the result as the next
+    generation with lineage metadata.  The parent learns the outcome
+    through ``result_queue``:
     ``("published", info)`` / ``("skipped", info)`` / ``("error", info)``.
     """
     try:
+        from repro.persistence import solver_from_config
         from repro.store import ArtifactStore
 
         store = ArtifactStore(store_root)
@@ -105,28 +134,30 @@ def _background_rebuild_main(
         if new_graph is None:
             result_queue.put(("skipped", {"n_updates": batch.n_updates}))
             return
-        result = build_updated_bundle(
-            bundle,
+        started = time.perf_counter()
+        solver, mode, bound = rebuild_solver(
+            bundle if options["incremental"] else None,
             new_graph,
-            bound_threshold=float(options.get("error_bound", 0.0)),
-            force_full=bool(options.get("force_full", False)),
+            lambda: solver_from_config(bundle.config),
+            bound_threshold=float(options["error_bound"]),
         )
+        seconds = time.perf_counter() - started
         lineage = {
             "parent": parent_path.name if parent_path is not None else None,
             "batch_digest": batch.digest(),
             "n_updates": batch.n_updates,
-            "mode": result.mode,
-            "error_bound": result.error_bound,
+            "mode": mode,
+            "error_bound": bound,
         }
-        path = store.publish(result.bundle, metadata=lineage)
+        path = store.publish(solver, metadata=lineage)
         result_queue.put(
             (
                 "published",
                 {
                     "generation": path.name,
-                    "mode": result.mode,
-                    "error_bound": result.error_bound,
-                    "seconds": result.seconds,
+                    "mode": mode,
+                    "error_bound": bound,
+                    "seconds": seconds,
                     "n_updates": batch.n_updates,
                 },
             )
@@ -162,13 +193,13 @@ class DynamicRWR:
         BePI solver factory — the baselines have no persistable artifact
         format.
     incremental:
-        Attempt the partition-reusing correction of
+        Attempt the partition-reusing update of
         :func:`repro.core.incremental.incremental_update` before falling
         back to a full re-preprocess (BePI only; baselines always rebuild
         in full).  Default ``True``.
     error_bound:
-        Largest tracked L1 error bound an accepted correction may carry.
-        The default ``0.0`` admits only *exact* corrections, so query
+        Largest tracked L1 error bound an accepted update may carry.
+        The default ``0.0`` admits only *exact* updates, so query
         results are identical to a full rebuild up to solver tolerance; a
         positive value trades bounded accuracy for update speed.
     background:
@@ -395,7 +426,7 @@ class DynamicRWR:
 
         The effective batch (edge weights carried through; see
         :func:`repro.core.incremental.apply_batch`) is applied as an
-        incremental correction when :attr:`incremental` allows and the
+        incremental update when :attr:`incremental` allows and the
         tracked error bound stays within :attr:`error_bound`, and as a
         full re-preprocess otherwise.  A batch that cancels out to exactly
         the current graph skips the rebuild entirely and only clears the
@@ -488,10 +519,7 @@ class DynamicRWR:
             args=(
                 str(self.artifact_store.root),
                 batch.to_dict(),
-                {
-                    "error_bound": self.error_bound,
-                    "force_full": not self.incremental,
-                },
+                {"error_bound": self.error_bound, "incremental": self.incremental},
                 result_queue,
             ),
             daemon=True,
@@ -606,23 +634,14 @@ class DynamicRWR:
 
     def _rebuild_sync(self, new_graph: Graph, batch: UpdateBatch) -> None:
         start = time.perf_counter()
-        mode, bound = "full", 0.0
-        adopted = False
-        if self.incremental and isinstance(self._solver, BePI):
-            bundle = self._solver.solver_artifacts
-            result = incremental_update(
-                bundle, new_graph, bound_threshold=self.error_bound
-            )
-            if result is not None:
-                from repro.persistence import solver_from_bundle
-
-                self._solver = solver_from_bundle(result.bundle, "incremental-update")
-                mode, bound = "incremental", result.error_bound
-                adopted = True
-        if not adopted:
-            solver = self._factory()
-            solver.preprocess(new_graph)
-            self._solver = solver
+        parent = (
+            self._solver.solver_artifacts
+            if self.incremental and isinstance(self._solver, BePI)
+            else None
+        )
+        self._solver, mode, bound = rebuild_solver(
+            parent, new_graph, self._factory, bound_threshold=self.error_bound
+        )
         self._graph = new_graph
         self.n_rebuilds += 1
         self._record_mode(mode, bound)
@@ -684,7 +703,7 @@ class DynamicRWR:
             self.n_corrections += 1
             reg.counter(
                 telemetry.DYNAMIC_CORRECTIONS,
-                help="rebuilds served as incremental corrections",
+                help="rebuilds served as incremental updates",
             ).inc()
         else:
             self.n_full_rebuilds += 1

@@ -1,27 +1,24 @@
-"""Incremental artifact corrections for edge-update batches.
+"""Incremental updates: re-run the factorization stages on the kept ordering.
 
 BePI's own answer to evolving graphs is "buffer updates, re-preprocess in
-batches" (Section 5).  A full re-preprocess repeats every stage of
-Algorithm 1 — deadend reorder, SlashBurn, block factorization, Schur
-complement, preconditioner — even though a small update batch leaves most
-of that work bit-identical.  Following the bounded-correction idea of Yoon
-et al. (*Fast and Accurate Random Walk with Restart on Dynamic Graphs with
-Guarantees*), this module applies a batch to an existing artifact bundle
-as a *correction* instead:
+batches" (Section 5).  Of a full re-preprocess, the two reordering stages
+of Algorithm 1 — deadend reorder and SlashBurn — are the ones a small
+update batch has no reason to repeat.  :func:`incremental_update` keeps the
+parent bundle's node ordering and hub/spoke/deadend partition and runs the
+rest of the build on the new graph:
 
-- the old node ordering and hub/spoke/deadend partition are **reused**
-  (the two reordering stages are skipped entirely),
-- ``H`` is rebuilt from the new graph in the old order, and only the
-  ``H11`` diagonal blocks whose columns actually changed are refactorized
-  (per-block LU inversion is independent, so untouched blocks keep their
-  old inverted factors bit for bit),
-- the Schur complement is updated with a per-affected-block low-rank
-  correction ``S' = S + ΔH22 − Σ_b (C'_b − C_b)`` where
-  ``C_b = H21[:,b] H11[b]^{-1} H12[b,:]``, instead of re-solving all of
-  ``H11^{-1} H12``,
-- the preconditioner is rebuilt from the updated ``S`` (the SGS factors
-  cost one pass over ``S``), so every generation is preconditioned by the
-  factors of its own Schur complement.
+- ``H`` is rebuilt from the new graph in the old order and partitioned
+  with the old ``n1``/``n2``/``n3``;
+- entries the kept partition cannot serve are dropped (see below);
+- the same three stage functions a build runs then produce the new
+  artifacts from the served blocks: the batched LU inversion of all of
+  ``H11`` (:func:`~repro.linalg.block_lu.factorize_block_diagonal`), the
+  Schur complement
+  (:func:`~repro.core.schur.compute_schur_complement_parts`) and its SGS
+  preconditioner (:func:`~repro.linalg.ilu.sgs_factors`).
+
+Nothing of the parent's factors, Schur complement or ``H`` blocks is read,
+so a bundle need not store any array only an update would use.
 
 Error bound
 -----------
@@ -43,12 +40,12 @@ because ``‖H^{-1}‖₁ ≤ 1/c`` (the Neumann series of a column-substochasti
 ``(1−c) Ã^T``), the same holds for ``H̃`` (dropping entries keeps the
 columns substochastic), and ``‖q‖₁ = 1``.  ``‖R‖₁`` — the largest
 column-wise absolute sum of dropped entries — is computed exactly during
-the build, so every correction carries a *tracked, guaranteed* L1 error
+the update, so every update carries a *tracked, guaranteed* L1 error
 bound; a batch whose edges all land inside the old structure has
-``R = 0`` and the correction is **exact** (up to solver tolerance).  When
-the bound crosses the caller's threshold, :func:`build_updated_bundle`
-falls back to a full re-preprocess, which re-partitions and resets the
-bound to zero.
+``R = 0`` and the update is **exact** (up to solver tolerance).  When the
+bound crosses the caller's threshold, :func:`incremental_update` returns
+``None`` and :func:`repro.core.dynamic.rebuild_solver` re-preprocesses in
+full, which re-partitions and resets the bound to zero.
 """
 
 from __future__ import annotations
@@ -64,9 +61,10 @@ import scipy.sparse as sp
 
 from repro.core.engine import SolverArtifacts
 from repro.core.pipeline import PreprocessArtifacts
+from repro.core.schur import compute_schur_complement_parts
 from repro.exceptions import GraphFormatError, InvalidParameterError
 from repro.graph.graph import Graph
-from repro.linalg.block_lu import BlockDiagonalLU, factorize_block_diagonal
+from repro.linalg.block_lu import factorize_block_diagonal
 from repro.linalg.ilu import sgs_factors
 from repro.linalg.rwr_matrix import build_h_matrix, partition_h
 
@@ -207,11 +205,11 @@ def apply_batch(graph: Graph, batch: UpdateBatch) -> Optional[Graph]:
 
 
 # ----------------------------------------------------------------------
-# The correction engine
+# The update: stages 3-6 on the kept ordering
 # ----------------------------------------------------------------------
 @dataclass
 class IncrementalResult:
-    """A correction applied to an existing bundle.
+    """An update applied to an existing bundle.
 
     Attributes
     ----------
@@ -220,14 +218,15 @@ class IncrementalResult:
         partition as the parent; serve or publish it directly).
     error_bound:
         Guaranteed L1 bound ``‖R‖₁ / c`` on per-query score error versus
-        the exact new graph; ``0.0`` means the correction is exact.
+        the exact new graph; ``0.0`` means the update is exact.
     n_affected_blocks, n_blocks:
-        Diagonal ``H11`` blocks refactorized vs. total.
+        Diagonal ``H11`` blocks refactorized vs. total.  The update
+        refactorizes all of ``H11``, so the two are equal.
     seconds:
-        Wall-clock cost of the correction.
+        Wall-clock cost of the update.
     timings:
-        Per-stage breakdown (``build_h``, ``classify``, ``refactorize``,
-        ``schur_correction``).
+        Per-stage breakdown (``build_h``, ``classify``, ``factorize_h11``,
+        ``schur_complement``, ``preconditioner``).
     """
 
     bundle: SolverArtifacts
@@ -242,65 +241,22 @@ class IncrementalResult:
         return self.error_bound == 0.0
 
 
-def _changed_rows(old: sp.csr_matrix, new: sp.csr_matrix) -> np.ndarray:
-    """Row indices whose pattern or values differ between two CSR matrices."""
-    delta = (sp.csr_matrix(new) - sp.csr_matrix(old)).tocsr()
-    delta.eliminate_zeros()
-    return np.flatnonzero(np.diff(delta.indptr))
-
-
-def _block_ranges(block_sizes: np.ndarray) -> np.ndarray:
-    """Start offsets of each diagonal block (length ``b + 1``)."""
-    return np.concatenate([[0], np.cumsum(block_sizes)]).astype(np.int64)
-
-
-def _gather_index(block_ids: np.ndarray, starts: np.ndarray,
-                  sizes: np.ndarray) -> np.ndarray:
-    """Concatenated (ascending) row/col index range of the given blocks."""
-    return np.concatenate(
-        [np.arange(starts[b], starts[b] + sizes[b], dtype=np.int64)
-         for b in block_ids]
-    )
-
-
-def _block_correction(
-    h21: sp.spmatrix,
-    h12: sp.spmatrix,
-    l_inv: sp.spmatrix,
-    u_inv: sp.spmatrix,
-    idx: np.ndarray,
-) -> sp.csr_matrix:
-    """``Σ_{b∈idx-blocks} H21[:,b] H11[b]^{-1} H12[b,:]`` in one pass.
-
-    ``idx`` is the concatenated index range of the affected blocks; the
-    sliced factors stay block diagonal across those blocks, so one triple
-    product covers all of them.
-    """
-    l_sub = sp.csr_matrix(l_inv)[idx][:, idx]
-    u_sub = sp.csr_matrix(u_inv)[idx][:, idx]
-    h12_sub = sp.csr_matrix(h12)[idx]
-    h21_sub = sp.csr_matrix(h21)[:, idx]
-    inner = u_sub @ (l_sub @ h12_sub)
-    return (h21_sub @ inner).tocsr()
-
-
 def incremental_update(
     bundle: SolverArtifacts,
     new_graph: Graph,
     bound_threshold: Optional[float] = None,
 ) -> Optional[IncrementalResult]:
-    """Apply an updated graph to ``bundle`` as a partition-reusing correction.
+    """Serve ``new_graph`` through ``bundle``'s ordering and partition.
 
     Returns ``None`` when ``bound_threshold`` is set and the tracked error
     bound would exceed it — the signal to fall back to a full
-    re-preprocess.  Only BePI bundles can be corrected.
-
-    The new bundle serves the *new* graph through the *old* ordering and
-    partition; see the module docstring for the bound derivation.
+    re-preprocess.  Only BePI bundles can be updated.  Nothing of the
+    parent is read but its ordering, partition and configuration; see the
+    module docstring for the bound derivation.
     """
     if bundle.kind != "bepi":
         raise InvalidParameterError(
-            f"incremental corrections require a BePI bundle, got {bundle.kind!r}"
+            f"incremental updates require a BePI bundle, got {bundle.kind!r}"
         )
     pre = bundle.preprocess
     n = new_graph.n_nodes
@@ -317,13 +273,13 @@ def incremental_update(
     timings: Dict[str, float] = {}
     started = time.perf_counter()
 
-    # --- Stage 1: H in the old order (the reordering stages are skipped).
+    # --- H in the old order (the two reordering stages are skipped).
     t0 = time.perf_counter()
     reordered = new_graph.permute(perm.order)
     h = build_h_matrix(reordered.adjacency, c)
     timings["build_h"] = time.perf_counter() - t0
 
-    # --- Stage 2: residual + error bound.
+    # --- Residual, error bound and the served blocks.
     t0 = time.perf_counter()
     block_id = np.repeat(np.arange(block_sizes.size, dtype=np.int64), block_sizes)
     h11_coo = h[:n1, :n1].tocoo()
@@ -352,7 +308,6 @@ def incremental_update(
         0.0,
     )
     error_bound = residual_norm / c
-    timings["classify"] = time.perf_counter() - t0
     if bound_threshold is not None and error_bound > bound_threshold:
         return None
 
@@ -365,74 +320,23 @@ def incremental_update(
         )
         h11_served.sort_indices()
         blocks["H11"] = h11_served
+    timings["classify"] = time.perf_counter() - t0
 
-    # --- Stage 3: refactorize only the H11 blocks whose columns changed.
-    # A column of H changes exactly when its node's out-edges changed (row
-    # renormalization touches the whole column, nothing else), and the
-    # structural stripping of an unchanged column is reproduced verbatim —
-    # so untouched blocks keep their old inverted factors bit for bit.
+    # --- Stages 3-6 of a build, on the served blocks.
     t0 = time.perf_counter()
-    changed_nodes = _changed_rows(bundle.graph.adjacency, new_graph.adjacency)
-    changed_pos = perm.positions[changed_nodes]
-    spoke_cols = changed_pos[changed_pos < n1]
-    affected = (
-        np.unique(block_id[spoke_cols]) if spoke_cols.size else
-        np.zeros(0, dtype=np.int64)
-    )
-    starts = _block_ranges(block_sizes)
-    if affected.size:
-        idx = _gather_index(affected, starts, block_sizes)
-        sub = blocks["H11"][idx][:, idx]
-        sub_factors = factorize_block_diagonal(sub, block_sizes[affected])
-        h11_factors = BlockDiagonalLU(
-            l_inv=_splice(pre.h11_factors.l_inv, sub_factors.l_inv, idx, n1),
-            u_inv=_splice(pre.h11_factors.u_inv, sub_factors.u_inv, idx, n1),
-            block_sizes=block_sizes,
-        )
-    else:
-        h11_factors = pre.h11_factors
-    timings["refactorize"] = time.perf_counter() - t0
+    h11_factors = factorize_block_diagonal(blocks["H11"], block_sizes)
+    timings["factorize_h11"] = time.perf_counter() - t0
 
-    # --- Stage 4: low-rank Schur correction over the affected blocks.
-    # S' = S + ΔH22 − Σ_{b affected} (C'_b − C_b): a block contributes a
-    # changed correction term C_b = H21[:,b] H11[b]^{-1} H12[b,:] when its
-    # factors changed or any of its H12 rows / H21 columns did.
     t0 = time.perf_counter()
-    old_h12, old_h21, old_h22 = (
-        pre.blocks["H12"], pre.blocks["H21"], pre.blocks["H22"]
+    schur_parts = compute_schur_complement_parts(blocks, h11_factors)
+    timings["schur_complement"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    # SGS factors of the new S, if the parent had a preconditioner.
+    preconditioner = (
+        None if bundle.preconditioner is None else sgs_factors(schur_parts.schur)
     )
-    if n2 and n1:
-        delta_h12_rows = _changed_rows(old_h12, blocks["H12"])
-        delta_h21_cols = _changed_rows(
-            sp.csr_matrix(old_h21).T.tocsr(),
-            sp.csr_matrix(blocks["H21"]).T.tocsr(),
-        )
-        schur_blocks = np.unique(
-            np.concatenate([
-                affected,
-                block_id[delta_h12_rows] if delta_h12_rows.size else affected[:0],
-                block_id[delta_h21_cols] if delta_h21_cols.size else affected[:0],
-            ])
-        ).astype(np.int64)
-    else:
-        schur_blocks = np.zeros(0, dtype=np.int64)
-    delta_h22 = (sp.csr_matrix(blocks["H22"]) - sp.csr_matrix(old_h22)).tocsr()
-    schur = sp.csr_matrix(pre.schur) + delta_h22
-    if schur_blocks.size:
-        sidx = _gather_index(schur_blocks, starts, block_sizes)
-        c_new = _block_correction(
-            blocks["H21"], blocks["H12"],
-            h11_factors.l_inv, h11_factors.u_inv, sidx,
-        )
-        c_old = _block_correction(
-            old_h21, old_h12,
-            pre.h11_factors.l_inv, pre.h11_factors.u_inv, sidx,
-        )
-        schur = schur - (c_new - c_old)
-    schur = schur.tocsr()
-    schur.eliminate_zeros()
-    schur.sort_indices()
-    timings["schur_correction"] = time.perf_counter() - t0
+    timings["preconditioner"] = time.perf_counter() - t0
 
     new_pre = PreprocessArtifacts(
         permutation=perm,
@@ -442,103 +346,23 @@ def incremental_update(
         block_sizes=block_sizes,
         blocks=blocks,
         h11_factors=h11_factors,
-        schur=schur,
+        schur=schur_parts.schur,
         hubspoke=pre.hubspoke,
         timings=dict(timings),
-        nnz_h22=int(blocks["H22"].nnz),
-        nnz_correction=None,
-    )
-    new_bundle = SolverArtifacts(
-        kind=bundle.kind,
-        config=dict(bundle.config),
-        graph=new_graph,
-        preprocess=new_pre,
-        # SGS factors of the updated S, if the parent had a preconditioner.
-        preconditioner=None if bundle.preconditioner is None else sgs_factors(schur),
+        nnz_h22=schur_parts.nnz_h22,
+        nnz_correction=schur_parts.nnz_correction,
     )
     return IncrementalResult(
-        bundle=new_bundle,
+        bundle=SolverArtifacts(
+            kind=bundle.kind,
+            config=dict(bundle.config),
+            graph=new_graph,
+            preprocess=new_pre,
+            preconditioner=preconditioner,
+        ),
         error_bound=error_bound,
-        n_affected_blocks=int(affected.size),
+        n_affected_blocks=int(block_sizes.size),
         n_blocks=int(block_sizes.size),
         seconds=time.perf_counter() - started,
         timings=timings,
-    )
-
-
-def _splice(
-    old: sp.spmatrix, sub: sp.spmatrix, idx: np.ndarray, n: int
-) -> sp.csr_matrix:
-    """Replace the rows/cols ``idx`` of a block-diagonal matrix with ``sub``.
-
-    ``sub`` is the refactorized band in gathered coordinates; because both
-    matrices are block diagonal and ``idx`` is a union of whole blocks,
-    every replaced entry stays inside ``idx × idx``.
-    """
-    mask = np.zeros(n, dtype=bool)
-    mask[idx] = True
-    old_coo = sp.coo_matrix(old)
-    keep = ~mask[old_coo.row]
-    sub_coo = sp.coo_matrix(sub)
-    rows = np.concatenate([old_coo.row[keep], idx[sub_coo.row]])
-    cols = np.concatenate([old_coo.col[keep], idx[sub_coo.col]])
-    data = np.concatenate([old_coo.data[keep], sub_coo.data])
-    out = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    out.sort_indices()
-    return out
-
-
-# ----------------------------------------------------------------------
-# Policy: correction with full-rebuild fallback
-# ----------------------------------------------------------------------
-@dataclass
-class UpdateResult:
-    """Outcome of :func:`build_updated_bundle`.
-
-    ``mode`` is ``"incremental"`` (correction applied; ``incremental``
-    holds the details) or ``"full"`` (re-preprocessed from scratch;
-    ``error_bound`` is ``0.0``).
-    """
-
-    mode: str
-    bundle: SolverArtifacts
-    error_bound: float
-    seconds: float
-    incremental: Optional[IncrementalResult] = None
-
-
-def build_updated_bundle(
-    bundle: SolverArtifacts,
-    new_graph: Graph,
-    bound_threshold: float = 0.0,
-    force_full: bool = False,
-) -> UpdateResult:
-    """Updated artifacts for ``new_graph``: correction if the bound allows.
-
-    The incremental path is attempted first (unless ``force_full``); when
-    its tracked error bound exceeds ``bound_threshold`` — ``0.0`` admits
-    only *exact* corrections — the graph is re-preprocessed in full with a
-    solver rebuilt from the bundle's own config, which re-partitions and
-    resets the bound.
-    """
-    started = time.perf_counter()
-    if not force_full and bundle.kind == "bepi":
-        result = incremental_update(bundle, new_graph, bound_threshold=bound_threshold)
-        if result is not None:
-            return UpdateResult(
-                mode="incremental",
-                bundle=result.bundle,
-                error_bound=result.error_bound,
-                seconds=time.perf_counter() - started,
-                incremental=result,
-            )
-    from repro.persistence import solver_from_config
-
-    solver = solver_from_config(bundle.config)
-    solver.preprocess(new_graph)
-    return UpdateResult(
-        mode="full",
-        bundle=solver.solver_artifacts,
-        error_bound=0.0,
-        seconds=time.perf_counter() - started,
     )

@@ -11,9 +11,10 @@ partially pivoted ``getrf`` in one batched call, and their triangular
 factors inverted in one batched call; the CSR arrays of the inverted
 factors are then written straight from the block layout.  Every stack
 operation acts on each matrix alone, so a block's factors do not depend on
-which other blocks share its size (the incremental update refactorizes a
-subset of blocks and splices the result in), and they are bit-identical to
-a per-block ``scipy.linalg.lu`` + ``solve_triangular``.
+which other blocks share its size (an incremental update refactorizes all
+of ``H11``, and an unchanged block gets its parent's factors bit for bit),
+and they are bit-identical to a per-block ``scipy.linalg.lu`` +
+``solve_triangular``.
 
 ``H11`` inherits strict column diagonal dominance from ``H``: in every
 elimination step the diagonal entry is the largest in its column, so

@@ -20,9 +20,10 @@ raw ``.npy`` file per array under ``arrays/``.
   rolls back.
 
 Only matrices the query phase needs are stored — the same list the
-paper's Algorithm 3 returns, which holds ``L1^{-1}`` / ``U1^{-1}`` but not
-``H11`` itself — so file size tracks
-:meth:`~repro.core.base.RWRSolver.memory_bytes`.
+paper's Algorithm 3 returns, which holds ``L1^{-1}`` / ``U1^{-1}`` and
+``S`` but neither ``H11`` nor ``H22`` — plus the adjacency the update
+path rebuilds every ``H`` block from, so file size tracks
+:meth:`~repro.core.base.RWRSolver.memory_bytes` plus the graph.
 
 :func:`load_solver` turns an artifact directory, or the current generation
 of a store root, back into a query-ready solver.
@@ -58,8 +59,10 @@ PathLike = Union[str, os.PathLike]
 _ARTIFACT_FORMAT_VERSION = 4
 
 #: Blocks the query phase (Algorithm 4) actually reads; ``H11`` is covered
-#: by its inverted LU factors and is deliberately not persisted.
-_STORED_BLOCKS = ("H12", "H21", "H22", "H31", "H32")
+#: by its inverted LU factors and ``H22`` by ``S``, so neither is persisted.
+#: Bundles written before ``H22`` was dropped still name it; its files are
+#: verified with the rest but not read.
+_STORED_BLOCKS = ("H12", "H21", "H31", "H32")
 
 _MANIFEST_NAME = "manifest.json"
 _ARRAYS_DIR = "arrays"
@@ -212,7 +215,6 @@ def save_artifacts(
         csr_shapes[name] = [int(csr.shape[0]), int(csr.shape[1])]
 
     write_dense("permutation_order", artifacts.permutation.order)
-    write_dense("hubspoke_order", artifacts.hubspoke.permutation.order)
     write_dense("block_sizes", artifacts.block_sizes)
     write_csr("adjacency", bundle.graph.adjacency)
     write_csr("L1_inv", artifacts.h11_factors.l_inv)
@@ -322,8 +324,14 @@ def load_artifacts(
         block_sizes=block_sizes,
     )
     schur = read_csr("S")
+    permutation = Permutation(read("permutation_order"))
+    # The deadend split keeps the non-deadends in id order, so the
+    # hub-and-spoke ordering of that subgraph is the rank of each
+    # non-deadend id, read off the total order's first n1 + n2 entries.
+    # (Older bundles also store it as hubspoke_order.npy; it is not read.)
+    head = permutation.order[: manifest["n1"] + manifest["n2"]]
     hubspoke = HubSpokePartition(
-        permutation=Permutation(read("hubspoke_order")),
+        permutation=Permutation(np.searchsorted(np.sort(head), head)),
         n_spokes=manifest["n1"],
         n_hubs=manifest["n2"],
         block_sizes=block_sizes,
@@ -331,7 +339,7 @@ def load_artifacts(
         hub_ratio=manifest["hub_ratio"],
     )
     artifacts = PreprocessArtifacts(
-        permutation=Permutation(read("permutation_order")),
+        permutation=permutation,
         n1=manifest["n1"],
         n2=manifest["n2"],
         n3=manifest["n3"],

@@ -271,3 +271,85 @@ class TestTopReconnect:
         assert "reconnecting to 127.0.0.1:59999" in captured.err
         assert "attempt 1" in captured.err
         assert calls["n"] == 2
+
+
+class TestZeroDowntimeUpdateDrill:
+    """``repro update`` publishes generations into a store while a
+    ``repro serve --follow-store`` process keeps answering and swaps onto
+    each one."""
+
+    @staticmethod
+    def _wait_for(log_path, prefix, timeout=30.0):
+        """Whether a line starting with ``prefix`` reaches the log in time."""
+        import time
+
+        deadline = time.monotonic() + timeout
+        while True:
+            lines = log_path.read_text().splitlines()
+            if any(line.startswith(prefix) for line in lines):
+                return True
+            if time.monotonic() >= deadline:
+                return False
+            time.sleep(0.2)
+
+    def test_updates_publish_while_serving_follows(self, tmp_path, capsys):
+        import json
+        import os
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        main(["datasets", "--export", str(tmp_path / "datasets")])
+        store = str(tmp_path / "dyn-store")
+        main(["build", str(tmp_path / "datasets" / "physicians_sim.tsv"),
+              "-o", store, "--store"])
+        capsys.readouterr()
+        log_path = tmp_path / "dyn-serve.log"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        with open(log_path, "w") as log:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", store, "--workers", "2",
+                 "--random", "4", "--linger", "120", "--follow-store", "0.2"],
+                stdout=log, stderr=subprocess.STDOUT, env=env,
+                start_new_session=True,
+            )
+        try:
+            assert self._wait_for(log_path, "seed "), log_path.read_text()
+            update_metrics = tmp_path / "update-metrics.json"
+            assert main(["update", store, "--random-batch", "4", "--batches", "3",
+                         "--error-bound", "0.05",
+                         "--metrics-out", str(update_metrics)]) == 0
+            assert capsys.readouterr().out.count("rebuild -> gen-") >= 3
+            assert main(["update", store, "--add", "1:2", "--add", "2:1"]) == 0
+            skip_metrics = tmp_path / "skip-metrics.json"
+            assert main(["update", store, "--add", "1:2", "--add", "2:1",
+                         "--metrics-out", str(skip_metrics)]) == 0
+            assert "no-op" in capsys.readouterr().out
+            assert self._wait_for(log_path, "now serving gen-000005"), (
+                log_path.read_text()
+            )
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=120)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)  # the server and its workers
+                proc.wait()
+
+        with open(update_metrics) as fh:
+            update = json.load(fh)
+        counters, gauges = update["counters"], update["gauges"]
+        rebuilds = counters["rwr.dynamic.rebuilds"]["value"]
+        corrections = counters["rwr.dynamic.corrections"]["value"]
+        full = counters["rwr.dynamic.full_rebuilds"]["value"]
+        assert rebuilds >= 3, counters
+        assert corrections + full == rebuilds, counters
+        assert counters["rwr.dynamic.publishes"]["value"] == rebuilds, counters
+        bound = gauges["rwr.dynamic.error_bound"]["value"]
+        assert 0.0 <= bound <= 0.05, gauges
+        with open(skip_metrics) as fh:
+            skip = json.load(fh)
+        skipped = skip["counters"]["rwr.dynamic.rebuilds.skipped"]["value"]
+        ratio = skip["gauges"]["rwr.dynamic.skipped_rebuild_ratio"]["value"]
+        assert skipped >= 1, skip["counters"]
+        assert ratio == 1.0, skip["gauges"]

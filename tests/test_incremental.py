@@ -1,4 +1,6 @@
-"""Tests for the incremental correction engine (repro.core.incremental)."""
+"""Tests for incremental updates (repro.core.incremental) and the update
+policy that chooses between them and a full rebuild
+(repro.core.dynamic.rebuild_solver)."""
 
 import math
 
@@ -8,14 +10,17 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import BePI, Graph, generate_rmat
-from repro.core.dynamic import DynamicRWR
-from repro.core.incremental import (
-    UpdateBatch,
-    apply_batch,
-    build_updated_bundle,
-    incremental_update,
+from repro import (
+    BePI,
+    Graph,
+    add_deadends,
+    generate_erdos_renyi,
+    generate_hub_and_spoke,
+    generate_preferential_attachment,
+    generate_rmat,
 )
+from repro.core.dynamic import DynamicRWR, rebuild_solver
+from repro.core.incremental import UpdateBatch, apply_batch, incremental_update
 from repro.exceptions import GraphFormatError, InvalidParameterError
 from repro.store import ArtifactStore
 
@@ -317,28 +322,33 @@ class TestIncrementalUpdate:
             incremental_update(bundle, graph)
 
 
-class TestBuildUpdatedBundle:
+class TestRebuildSolver:
+    """The one update policy both the synchronous and the background
+    rebuild use: incremental when the bound allows, full otherwise."""
+
+    @staticmethod
+    def _full_factory():
+        return BePI(tol=1e-11)
+
     def test_incremental_mode(self, solver, graph):
         u, v = _spoke_edge(solver, graph)
         new_graph = apply_batch(graph, UpdateBatch(added=((u, v, 4.0),)))
-        result = build_updated_bundle(solver.solver_artifacts, new_graph)
-        assert result.mode == "incremental"
-        assert result.error_bound == 0.0
-        assert result.incremental is not None
+        rebuilt, mode, bound = rebuild_solver(
+            solver.solver_artifacts, new_graph, self._full_factory
+        )
+        assert mode == "incremental"
+        assert bound == 0.0
+        # Served through the parent's ordering, not a re-partition.
+        assert rebuilt.artifacts.permutation is solver.artifacts.permutation
 
-    def test_force_full(self, solver, graph):
+    def test_without_parent_is_full(self, solver, graph):
         u, v = _spoke_edge(solver, graph)
         new_graph = apply_batch(graph, UpdateBatch(added=((u, v, 4.0),)))
-        result = build_updated_bundle(
-            solver.solver_artifacts, new_graph, force_full=True
-        )
-        assert result.mode == "full"
-        assert result.incremental is None
+        rebuilt, mode, bound = rebuild_solver(None, new_graph, self._full_factory)
+        assert mode == "full"
+        assert rebuilt.artifacts.permutation is not solver.artifacts.permutation
         fresh = BePI(tol=1e-11).preprocess(new_graph)
-        served = BePI(tol=1e-11)
-        served._graph = new_graph
-        served._install_artifacts(result.bundle)
-        assert np.allclose(served.query(0), fresh.query(0), atol=1e-9)
+        assert np.allclose(rebuilt.query(0), fresh.query(0), atol=1e-9)
 
     def test_bound_fallback_to_full(self, solver, graph):
         rng = np.random.default_rng(5)
@@ -348,11 +358,12 @@ class TestBuildUpdatedBundle:
         unbounded = incremental_update(solver.solver_artifacts, new_graph)
         if unbounded.error_bound == 0.0:
             pytest.skip("random batch happened to be exactly representable")
-        result = build_updated_bundle(
-            solver.solver_artifacts, new_graph, bound_threshold=0.0
+        _, mode, bound = rebuild_solver(
+            solver.solver_artifacts, new_graph, self._full_factory,
+            bound_threshold=0.0,
         )
-        assert result.mode == "full"
-        assert result.error_bound == 0.0
+        assert mode == "full"
+        assert bound == 0.0
 
 
 class TestStoreLineage:
@@ -510,3 +521,118 @@ class TestFreshPreconditioner:
                 in_process = dyn.solver.solver_artifacts
                 self._assert_same_factors(in_process.preconditioner, own)
         assert store.current_path().name == "gen-000004"
+
+
+def _generated_graph(family, seed):
+    """A small graph of one ``graph.generators`` family with deadends."""
+    if family == "rmat":
+        graph = generate_rmat(6, 260, seed=seed)
+    elif family == "erdos_renyi":
+        graph = generate_erdos_renyi(48, 150, seed=seed)
+    elif family == "hub_and_spoke":
+        graph = generate_hub_and_spoke(4, 40, spokes_per_block=4, hub_degree=6,
+                                       seed=seed)
+    else:
+        graph = generate_preferential_attachment(48, out_degree=2, seed=seed)
+    return add_deadends(graph, 0.2, seed=seed + 1)
+
+
+@st.composite
+def _update_batch(draw, graph, pre):
+    """A batch over the kept partition ``pre``: insertions out of deadend
+    band nodes, spoke→spoke insertions across ``H11`` blocks, insertions
+    between any two nodes, reweights and removals of existing edges."""
+    n = graph.n_nodes
+    order = pre.permutation.order
+    starts = np.concatenate([[0], np.cumsum(pre.block_sizes)])
+    block_of = np.repeat(np.arange(len(pre.block_sizes)), pre.block_sizes)
+    node = st.integers(min_value=0, max_value=n - 1)
+    kinds = ["any"]
+    if pre.n3:
+        kinds.append("deadend")
+    if len(pre.block_sizes) > 1:
+        kinds.append("cross_block")
+    added = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "any":
+            u, v = draw(node), draw(node)
+        elif kind == "deadend":
+            u = int(order[draw(st.integers(pre.n1 + pre.n2, n - 1))])
+            v = draw(node)
+        else:  # a spoke, then a spoke position outside its block
+            a = draw(st.integers(0, pre.n1 - 1))
+            lo, hi = starts[block_of[a]], starts[block_of[a] + 1]
+            b = draw(st.integers(0, pre.n1 - (hi - lo) - 1))
+            u, v = int(order[a]), int(order[b if b < lo else b + hi - lo])
+        added.append((u, v, draw(st.sampled_from([None, 0.5, 2.0]))))
+    existing = [tuple(map(int, e)) for e in graph.edges()]
+    removed = draw(st.lists(st.sampled_from(existing), max_size=3)) if existing else []
+    return UpdateBatch(added=tuple(added), removed=tuple(removed))
+
+
+class TestIncrementalBoundProperty:
+    """Chained incremental updates of random small graphs, checked after
+    every generation against a dense solve of the new graph."""
+
+    C = 0.05
+
+    @given(
+        st.sampled_from(["rmat", "erdos_renyi", "hub_and_spoke", "preferential"]),
+        st.integers(min_value=0, max_value=2**16),
+        st.sampled_from([0.1, 0.25]),
+        st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_bound_dominates_dense_error(self, family, seed, hub_ratio, data):
+        from perfbench.oracle import RESIDUAL_L1, build_h, residuals
+
+        from repro.core.schur import compute_schur_complement_parts
+        from repro.linalg.block_lu import factorize_block_diagonal
+        from repro.linalg.rwr_matrix import build_h_matrix, partition_h
+        from repro.persistence import solver_from_bundle
+
+        graph = _generated_graph(family, seed)
+        bundle = BePI(c=self.C, tol=1e-11, hub_ratio=hub_ratio).preprocess(
+            graph
+        ).solver_artifacts
+        pre = bundle.preprocess
+        seeds = np.arange(graph.n_nodes)
+        generations = 0
+        for _ in range(3):
+            new_graph = apply_batch(graph, data.draw(_update_batch(graph, pre)))
+            if new_graph is None:
+                continue
+            result = incremental_update(bundle, new_graph)
+            bundle, graph = result.bundle, new_graph
+            generations += 1
+
+            served = solver_from_bundle(bundle, "property").query_many(seeds)
+            h = build_h(graph.adjacency, self.C)
+            dense = self.C * np.linalg.inv(h.toarray()).T  # row s answers seed s
+            observed = np.abs(served - dense).sum(axis=1)
+            assert observed.max() <= result.error_bound + 1e-7, (
+                observed.max(), result.error_bound)
+            if result.error_bound == 0.0:
+                assert residuals(h, self.C, seeds, served).max() <= RESIDUAL_L1
+
+            # S is the Schur complement of the served blocks, built here from
+            # the new graph in the kept order, off-block H11 entries dropped.
+            blocks = partition_h(
+                build_h_matrix(graph.permute(pre.permutation.order).adjacency,
+                               self.C),
+                pre.n1, pre.n2, pre.n3,
+            )
+            h11 = blocks["H11"].tocoo()
+            block_of = np.repeat(np.arange(len(pre.block_sizes)), pre.block_sizes)
+            inside = block_of[h11.row] == block_of[h11.col]
+            blocks["H11"] = sp.csr_matrix(
+                (h11.data[inside], (h11.row[inside], h11.col[inside])),
+                shape=h11.shape,
+            )
+            expected = compute_schur_complement_parts(
+                blocks, factorize_block_diagonal(blocks["H11"], pre.block_sizes)
+            ).schur
+            got = bundle.preprocess.schur
+            assert got.shape == expected.shape
+            assert (got != expected).nnz == 0

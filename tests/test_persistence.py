@@ -113,7 +113,19 @@ class TestFormatVersions:
         save_artifacts(BePI().preprocess(small_graph), path)
         loaded = load_solver(path)
         assert "H11" not in loaded.artifacts.blocks
-        assert set(loaded.artifacts.blocks) == {"H12", "H21", "H22", "H31", "H32"}
+        assert set(loaded.artifacts.blocks) == {"H12", "H21", "H31", "H32"}
+
+    def test_manifest_names_neither_h22_nor_hubspoke_order(self, small_graph, tmp_path):
+        """``H22`` is covered by ``S`` and the hub-and-spoke ordering by the
+        total one; no reader needs either, so neither is written."""
+        path = save_artifacts(BePI().preprocess(small_graph), tmp_path / "artifacts")
+        manifest = json.loads((path / "manifest.json").read_text())
+        names = set(manifest["checksums"]) | {
+            f.name for f in (path / "arrays").iterdir()
+        }
+        assert not any(name.startswith("H22.") for name in names)
+        assert "hubspoke_order.npy" not in names
+        assert "H22" not in manifest["csr_shapes"]
 
     def test_accuracy_bound_works_without_h11(self, medium_graph, tmp_path):
         """Theorem 4 ingredients are computable on a loaded (H11-less) solver."""
@@ -381,6 +393,40 @@ class TestRetiredBundles:
         config = json.loads((path / "manifest.json").read_text())["config"]
         rebuilt = solver_from_config(config).preprocess(solver.graph)
         assert np.array_equal(rebuilt.query_many(seeds), solver.query_many(seeds))
+
+    def test_bundle_storing_h22_and_hubspoke_order_loads(self, saved, tmp_path):
+        """Bundles written while ``H22`` and ``hubspoke_order`` were stored
+        verify every file their manifest names, load, derive the same
+        hub-and-spoke ordering and answer bit-identically."""
+        solver, _ = saved
+        artifacts = solver.artifacts
+
+        def edit(target, manifest):
+            arrays = {"hubspoke_order": artifacts.hubspoke.permutation.order}
+            h22 = artifacts.blocks["H22"]
+            for part in ("data", "indices", "indptr"):
+                arrays[f"H22.{part}"] = getattr(h22, part)
+            for name, array in arrays.items():
+                path = target / "arrays" / f"{name}.npy"
+                np.save(path, array)
+                manifest["checksums"][path.name] = hashlib.sha256(
+                    path.read_bytes()
+                ).hexdigest()
+            manifest["csr_shapes"]["H22"] = list(h22.shape)
+
+        path = self._copy(saved[1], tmp_path / "bundle", edit)
+        assert verify_artifacts(path) == verify_artifacts(saved[1]) + 4
+        loaded = load_solver(path)
+        assert np.array_equal(
+            loaded.artifacts.hubspoke.permutation.order,
+            np.load(path / "arrays" / "hubspoke_order.npy"),
+        )
+        seeds = [0, 5, 17]
+        assert np.array_equal(
+            loaded.query_many_detailed(seeds).iterations,
+            solver.query_many_detailed(seeds).iterations,
+        )
+        assert np.array_equal(loaded.query_many(seeds), solver.query_many(seeds))
 
     @pytest.mark.parametrize("name", ["perm_r.npy", "perm_c.npy"])
     def test_manifest_naming_permutations_refused(self, saved, tmp_path, name):
