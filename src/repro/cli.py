@@ -457,6 +457,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
 
     from repro import faults
     from repro.gateway import (
+        CertifiedAnswerer,
         Gateway,
         GatewayServer,
         LocalBackend,
@@ -516,13 +517,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             if args.artifacts:
                 pool = WorkerPool(args.artifacts, n_workers=args.workers)
                 backends.append(LocalBackend(pool))
-            answerer = None
-            if degrade_path:
-                from repro.approximate import ApproximateAnswerer
-
-                answerer = ApproximateAnswerer(
-                    degrade_path, n_walks=args.degrade_walks
-                )
+            answerer = CertifiedAnswerer(degrade_path) if degrade_path else None
             overrides = {
                 "max_pending": args.max_pending,
                 "shed_queue_depth": args.shed_depth,
@@ -1067,14 +1062,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "percentile like p95 (default: disabled)")
     p_gw.add_argument("--degrade", nargs="?", const="", default=None,
                       metavar="PATH",
-                      help="serve degraded Monte-Carlo answers from these "
-                           "artifacts when replicas are down or the "
-                           "deadline is nearly spent (no PATH: reuse "
+                      help="when replicas are down or the deadline is "
+                           "nearly spent, answer with a BePI solve of these "
+                           "artifacts stopped at the deadline, its L1 error "
+                           "certificate as the bound (no PATH: reuse "
                            "--artifacts)")
-    p_gw.add_argument("--degrade-walks", type=int, default=20_000,
-                      metavar="N",
-                      help="Monte-Carlo walks per degraded answer "
-                           "(default: 20000)")
     p_gw.add_argument("--fault-plan", metavar="PATH", default=None,
                       help="inject network faults from a JSON fault plan "
                            "into the gateway's wire transports (chaos "

@@ -130,6 +130,13 @@ class BePI(RWRSolver):
             raise InvalidParameterError(
                 f"hub_selection must be 'slashburn' or 'degree', got {hub_selection!r}"
             )
+        for option, value in (
+            ("gmres_restart", gmres_restart), ("max_iterations", max_iterations)
+        ):
+            if value is not None and value < 1:
+                raise InvalidParameterError(
+                    f"{option} must be None or >= 1, got {value}"
+                )
         self.hub_ratio = hub_ratio
         self.use_preconditioner = use_preconditioner
         self.gmres_restart = gmres_restart

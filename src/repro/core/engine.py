@@ -193,7 +193,9 @@ class QueryEngine(abc.ABC):
         ``deadline`` is an optional ``time.monotonic()`` budget: engines
         with an iterative inner solve stop at its expiry and return their
         best-effort iterate (``extras["converged"]`` reports what was
-        actually reached); direct engines may ignore it.
+        actually reached); direct engines may ignore it.  Block-elimination
+        engines also report ``extras["certificate"]``: per column, a proven
+        bound on the L1 distance of the returned scores to the exact ones.
         """
 
     def query_many(
@@ -358,17 +360,22 @@ class BlockEliminationEngine(QueryEngine):
             else:
                 q2_tilde = c * q2
 
-        # Line 4: solve S R2 = Q2~ for the whole block.
+        # Line 4: solve S R2 = Q2~ for the whole block.  Lines 5 and 6 make
+        # H r - c q vanish outside the hub block and equal S R2 - Q2~
+        # inside it, so with ||H^{-1}||_1 <= 1/c each column's L1 error is
+        # at most ||S r2 - q2~||_1 / c, whatever the iterate.
         with telemetry.span("query.schur"):
             if n2 > 0:
                 r2, iterations, converged, residuals = self._solve_schur_block(
                     q2_tilde, deadline=deadline
                 )
+                certificate = np.abs(pre.schur @ r2 - q2_tilde).sum(axis=0) / c
             else:
                 r2 = np.zeros((0, k), dtype=np.float64)
                 iterations = np.zeros(k, dtype=np.int64)
                 converged = np.ones(k, dtype=bool)
                 residuals = np.zeros(k, dtype=np.float64)
+                certificate = np.zeros(k, dtype=np.float64)
 
         # Line 5: R1 = U1^{-1} (L1^{-1} (c Q1 - H12 R2)).
         with telemetry.span("query.h11_solves"):
@@ -383,7 +390,9 @@ class BlockEliminationEngine(QueryEngine):
 
             r = np.concatenate([r1, r2, r3], axis=0)
             scores = pre.permutation.unapply_to_vector(r)
-        return scores, iterations, self._block_extras(converged, residuals)
+        extras = self._block_extras(converged, residuals)
+        extras["certificate"] = certificate
+        return scores, iterations, extras
 
     # -- extras policy (BePI reports convergence; Bear is direct) -------
     def _block_extras(

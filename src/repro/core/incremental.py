@@ -294,8 +294,10 @@ def incremental_update(
         else np.zeros(0)
     )
     if n3:
-        dead_cols = sp.csc_matrix(h)[:, n1 + n2:]
-        col_abs = np.asarray(np.abs(dead_cols).sum(axis=0)).ravel()
+        # Column sums straight off the CSR arrays; no CSC copy of H.
+        col_abs = np.bincount(
+            h.indices, weights=np.abs(h.data), minlength=n
+        )[n1 + n2:]
         dead_diag = h.diagonal()[n1 + n2:]
         # Served as H13 = H23 = 0, H33 = I: everything in these columns is
         # dropped except the unit diagonal the engine assumes.

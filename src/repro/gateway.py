@@ -39,6 +39,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import random
+import threading
 import time
 from bisect import bisect_right
 from collections import OrderedDict, deque
@@ -50,9 +51,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import telemetry, tracing, wire
-from repro.core.topk import to_pairs, validate_k
+from repro.core.engine import QueryEngine, validate_seeds
+from repro.core.topk import TopKResult, to_pairs, topk_from_scores, validate_k
 from repro.exceptions import InvalidParameterError
-from repro.serve import DeadlineExpired, WorkerPool, WorkerError
+from repro.persistence import PathLike
+from repro.serve import (
+    DeadlineExpired,
+    WorkerError,
+    WorkerPool,
+    open_query_engine,
+)
 from repro.telemetry import MetricsRegistry
 
 #: In-flight requests admitted before the gateway starts shedding.
@@ -335,18 +343,72 @@ class GatewayResult:
 
     ``value`` is the dense score row (``mode="dense"``) or the packed
     top-k pair records.  ``degraded`` marks a best-effort answer served
-    from the stale answer cache or the Monte-Carlo fallback instead of an
-    exact backend solve; ``error_bound`` is its per-entry L∞ bound
-    (``0.0`` for exact answers and stale-cache answers, which are exact
-    for a possibly older generation).
+    from the stale answer cache or a truncated BePI solve
+    (:class:`CertifiedAnswerer`) instead of an exact backend solve;
+    ``error_bound`` is the truncated iterate's L1 error certificate, and
+    so also a bound on each score (``0.0`` for exact answers and
+    stale-cache answers, which are exact for a possibly older
+    generation).
     """
 
     value: Any
     degraded: bool = False
     error_bound: float = 0.0
-    #: Which degradation rung served the answer: ``"cache"``, ``"approx"``,
-    #: or ``""`` for an exact backend solve.
+    #: Which degradation rung served the answer: ``"cache"``, ``"approx"``
+    #: (the truncated solve), or ``""`` for an exact backend solve.
     source: str = ""
+
+
+class CertifiedAnswerer:
+    """The degraded rung: the served bundle's own BePI solve, stopped early.
+
+    Algorithm 4 with GMRES stopped at the request's ``deadline`` (a
+    ``time.monotonic()`` instant; ``None`` runs it to the bundle's
+    ``tol``).  Whatever iterate the solve stops at, the engine's
+    ``extras["certificate"]`` bounds its L1 distance to the exact scores
+    (``‖r − r*‖₁ ≤ ‖S r2 − q̃2‖₁ / c``), and an L1 bound is also a bound
+    on each score.  ``path`` is an artifact directory or a store root —
+    the one the backends serve; it opens, memory-mapped, on the first
+    answer, so a gateway that never degrades never pays for it.
+    """
+
+    def __init__(self, path: PathLike):
+        self.path = path
+        self._lock = threading.Lock()
+        self._engine: Optional[QueryEngine] = None
+
+    @property
+    def loaded(self) -> bool:
+        return self._engine is not None
+
+    def answer_many(
+        self, seeds, deadline: Optional[float] = None
+    ) -> Tuple[np.ndarray, float]:
+        """``(scores, bound)``: the ``(len(seeds), n)`` truncated scores and
+        the largest certificate among them."""
+        with self._lock:
+            if self._engine is None:
+                # A store root opens its current generation, skipping a
+                # corrupt one as the worker pool does.
+                self._engine = open_query_engine(self.path)
+        engine = self._engine
+        seed_arr = validate_seeds(seeds, engine.n_nodes)
+        rhs = np.zeros((engine.n_nodes, seed_arr.size), dtype=np.float64)
+        rhs[seed_arr, np.arange(seed_arr.size)] = 1.0
+        scores, _, extras = engine.query_block(rhs, deadline=deadline)
+        return scores.T, float(extras["certificate"].max(initial=0.0))
+
+    def answer_topk(
+        self,
+        seed: int,
+        k: int,
+        exclude_seed: bool = True,
+        deadline: Optional[float] = None,
+    ) -> Tuple[TopKResult, float]:
+        """Top-``k`` of the truncated scores for one seed, with its bound."""
+        k = validate_k(k)
+        scores, bound = self.answer_many([seed], deadline=deadline)
+        return topk_from_scores(scores[0], int(seed), k, exclude_seed), bound
 
 
 # ----------------------------------------------------------------------
@@ -654,11 +716,11 @@ class Gateway:
         sent to the next closed-breaker replica and the first success
         wins (replicas answer bit-identically, so duplicates are safe).
     degraded_answerer:
-        Optional :class:`repro.approximate.ApproximateAnswerer` (or
-        compatible).  With it configured, a request whose deadline is
-        nearly spent — or whose every replica is open-circuit — gets a
-        Monte-Carlo approximate answer with an error bound instead of an
-        error, whenever the stale answer cache has no hit.
+        Optional :class:`CertifiedAnswerer` (or compatible).  With it
+        configured, a request whose deadline is nearly spent — or whose
+        every replica is open-circuit — gets a truncated solve with its
+        error certificate instead of an error, whenever the stale answer
+        cache has no hit.
     answer_cache_size:
         Entries kept in the degraded-answer cache (the last exact answer
         per ``(mode, seed)``).  ``0`` disables it.
@@ -758,6 +820,8 @@ class Gateway:
         self._generations: Dict[str, Optional[str]] = {}
         self._monitor_task: Optional[asyncio.Task] = None
         self._closed = False
+        # Futures whose degraded answer is being computed (see _degrade).
+        self._degrading: set = set()
         # Pre-register so an idle gateway exports zeros, not absent series.
         self._requests = self.registry.counter(
             telemetry.GATEWAY_REQUESTS, help="requests admitted or shed"
@@ -818,7 +882,7 @@ class Gateway:
         )
         self._degraded_approx = self.registry.counter(
             telemetry.DEGRADED_FROM_APPROX,
-            help="degraded replies served by the Monte-Carlo fallback",
+            help="degraded replies served by the truncated BePI solve",
         )
         for name in self.backends:
             self._breaker_gauge(name).set(float(CircuitBreaker.CLOSED))
@@ -1009,11 +1073,12 @@ class Gateway:
         loop = asyncio.get_running_loop()
         deadline: Optional[float] = None
         if deadline_ms is not None:
+            deadline = time.monotonic() + deadline_ms / 1000.0
             if deadline_ms <= 0.0:
                 # Spent on arrival (hop latency ate the budget): the only
                 # useful reply is an instant degraded one.
                 self._deadline_exceeded.inc()
-                answer = await self._degraded_answer(mode, seed)
+                answer = await self._degraded_answer(mode, seed, deadline)
                 if answer is not None:
                     self._count_degraded(answer)
                     return answer
@@ -1021,7 +1086,6 @@ class Gateway:
                     f"deadline budget spent at admission "
                     f"({deadline_ms:.1f} ms remaining)"
                 )
-            deadline = time.monotonic() + deadline_ms / 1000.0
         future: asyncio.Future = loop.create_future()
         # Sampling decision at admission: a sampled request mints a trace
         # id plus the root span id every later span parents under.
@@ -1046,9 +1110,9 @@ class Gateway:
             loop.call_soon(self._flush, key)
         watchdog: Optional[asyncio.TimerHandle] = None
         if deadline is not None:
-            # Fire early by the median backend call, about one solve's
-            # time to produce the degraded answer before the deadline; at
-            # most a quarter of the budget, the rest left to the exact one.
+            # Fire early by the median backend call, about the time the
+            # degraded rung's own solve needs before the deadline; at most
+            # a quarter of the budget, the rest left to the exact one.
             remaining = deadline - time.monotonic()
             margin = min(self._call_percentile(50.0) or 0.0, remaining / 4.0)
             fire_in = max(0.0, remaining - margin)
@@ -1484,9 +1548,10 @@ class Gateway:
             self._answer_cache.popitem(last=False)
 
     async def _degraded_answer(
-        self, mode: Tuple, seed: int
+        self, mode: Tuple, seed: int, deadline: Optional[float]
     ) -> Optional[GatewayResult]:
-        """The degradation ladder: stale cache hit, then Monte Carlo.
+        """The degradation ladder: stale cache hit, then a truncated solve
+        stopped at ``deadline`` (``None``: run to the bundle's ``tol``).
 
         Returns ``None`` when neither rung can answer (no cache entry, no
         answerer configured, or the answerer failed) — the caller falls
@@ -1507,7 +1572,11 @@ class Gateway:
         try:
             if mode[0] == "dense":
                 scores, bound = await loop.run_in_executor(
-                    None, partial(self.degraded_answerer.answer_many, [seed])
+                    None,
+                    partial(
+                        self.degraded_answerer.answer_many, [seed],
+                        deadline=deadline,
+                    ),
                 )
                 value = scores[0]
             else:
@@ -1516,7 +1585,7 @@ class Gateway:
                     None,
                     partial(
                         self.degraded_answerer.answer_topk,
-                        seed, k, exclude_seed,
+                        seed, k, exclude_seed, deadline=deadline,
                     ),
                 )
                 value = to_pairs(result)
@@ -1527,11 +1596,8 @@ class Gateway:
         )
 
     def _count_degraded(self, answer: GatewayResult) -> None:
-        """Count a degraded reply at the moment it is actually served.
-
-        The deadline watchdog and the terminal-error path race to compute
-        an answer for the same future; only the winner serves it, so the
-        loser must not count."""
+        """Count a degraded reply at the moment it is actually served (an
+        exact answer can still win the race while the rung computes)."""
         self._degraded.inc()
         if answer.source == "cache":
             self._degraded_cache.inc()
@@ -1546,55 +1612,60 @@ class Gateway:
     ) -> None:
         """Resolve a group no replica answered: degraded where possible,
         the terminal error where not."""
-        for seed, future, _, _ in group:
+        for seed, future, _, deadline in group:
             self._pending_total -= 1
-            if future.done():
-                continue
-            answer = await self._degraded_answer(mode, seed)
-            if future.done():  # the watchdog raced us and answered
-                continue
-            if answer is not None:
-                self._count_degraded(answer)
-                future.set_result(answer)
-            else:
-                future.set_exception(error)
+            await self._degrade(mode, seed, future, deadline, error)
 
-    def _deadline_watchdog(
-        self, mode: Tuple, seed: int, future: asyncio.Future, deadline: float
+    async def _degrade(
+        self,
+        mode: Tuple,
+        seed: int,
+        future: asyncio.Future,
+        deadline: Optional[float],
+        error: BaseException,
     ) -> None:
-        if future.done():
+        """Resolve ``future`` from the degradation ladder, else with
+        ``error``.  The watchdog and a failed or expired backend call can
+        both ask for the same request; only the first computes, so a
+        second solve does not compete with the first for the CPU."""
+        if future.done() or future in self._degrading:
             return
-        asyncio.ensure_future(self._expire(mode, seed, future, deadline))
-
-    async def _expire(
-        self, mode: Tuple, seed: int, future: asyncio.Future, deadline: float
-    ) -> None:
-        """A request's deadline is (nearly) up and no exact answer landed:
-        serve a degraded one now rather than an exact one too late.
-
-        The future resolves here but the in-flight backend batch is left
-        to finish — its answer refreshes the cache, and
-        :meth:`_resolve` skips the already-done future (that is also
-        where ``_pending_total`` is decremented exactly once)."""
-        if future.done():
-            return
-        self._deadline_exceeded.inc()
-        self.registry.histogram(
-            telemetry.DEADLINE_DEGRADED_AT,
-            help="remaining budget (ms) when the deadline watchdog fired",
-        ).observe(max(0.0, (deadline - time.monotonic()) * 1000.0))
-        answer = await self._degraded_answer(mode, seed)
+        self._degrading.add(future)
+        try:
+            answer = await self._degraded_answer(mode, seed, deadline)
+        finally:
+            self._degrading.discard(future)
         if future.done():  # the exact answer won the race after all
             return
         if answer is not None:
             self._count_degraded(answer)
             future.set_result(answer)
         else:
-            future.set_exception(
-                DeadlineExpired(
-                    f"deadline spent before any replica answered seed {seed}"
-                )
-            )
+            future.set_exception(error)
+
+    def _deadline_watchdog(
+        self, mode: Tuple, seed: int, future: asyncio.Future, deadline: float
+    ) -> None:
+        """A request's deadline is (nearly) up and no exact answer landed:
+        serve a degraded one now rather than an exact one too late.
+
+        The future resolves from the ladder, but the in-flight backend
+        batch is left to finish — its answer refreshes the cache, and
+        :meth:`_resolve` skips the already-done future (that is also
+        where ``_pending_total`` is decremented exactly once)."""
+        if future.done():
+            return
+        # Counted as it fires: a degraded answer racing in on the next
+        # loop turn was still late by the watchdog's reckoning.
+        self._deadline_exceeded.inc()
+        self.registry.histogram(
+            telemetry.DEADLINE_DEGRADED_AT,
+            help="remaining budget (ms) when the deadline watchdog fired",
+        ).observe(max(0.0, (deadline - time.monotonic()) * 1000.0))
+        error = DeadlineExpired(
+            f"deadline spent before any replica answered seed {seed}"
+        )
+        asyncio.ensure_future(self._degrade(mode, seed, future, deadline, error))
 
     # ------------------------------------------------------------------
     # Health monitor

@@ -155,7 +155,7 @@ TRACE_RING_SPANS = "rwr.trace.ring_spans"
 # resilience machinery that keeps a flaky replica from consuming them —
 # per-backend circuit breakers (``rwr.gateway.backend.<name>.breaker_state``
 # gauges 0=closed 1=half-open 2=open), hedged sends, the token-bucket
-# retry budget, and degraded (stale-cache / Monte Carlo) replies.
+# retry budget, and degraded (stale-cache / truncated-solve) replies.
 DEADLINE_EXPIRED = "rwr.serve.deadline_expired"
 DEADLINE_EXCEEDED = "rwr.gateway.deadline.exceeded"
 DEADLINE_DEGRADED_AT = "rwr.gateway.deadline.degraded_at_ms"

@@ -66,7 +66,8 @@ means no deadline.  Symmetrically, ``REPLY_DENSE`` and ``REPLY_TOPK`` may
 end, after the trace-record trailer, with a degraded-reply trailer::
 
     u8   degraded      1 when the answer is approximate / stale
-    f8   error_bound   per-score bound the degraded answer satisfies
+    f8   error_bound   L1 error certificate of the degraded answer, hence
+                       also a per-score bound (0.0 for a stale exact one)
 
 The trailer is only written for degraded replies, so exact answers cost
 no extra bytes.
@@ -202,7 +203,8 @@ class DenseReply:
     trace_records: Tuple[Dict[str, Any], ...] = ()
     #: ``True`` when the answer is approximate/stale (degradation ladder).
     degraded: bool = False
-    #: Per-score error bound a degraded answer satisfies (0.0 = exact).
+    #: A degraded answer's L1 error certificate, so also a per-score
+    #: bound (0.0 = exact).
     error_bound: float = 0.0
 
     opcode = REPLY_DENSE
@@ -216,7 +218,8 @@ class TopKReply:
     trace_records: Tuple[Dict[str, Any], ...] = ()
     #: ``True`` when the answer is approximate/stale (degradation ladder).
     degraded: bool = False
-    #: Per-score error bound a degraded answer satisfies (0.0 = exact).
+    #: A degraded answer's L1 error certificate, so also a per-score
+    #: bound (0.0 = exact).
     error_bound: float = 0.0
 
     opcode = REPLY_TOPK

@@ -141,6 +141,11 @@ class TestInterface:
             BePI(hub_ratio=0.0)
         with pytest.raises(InvalidParameterError):
             BePI(hub_ratio="magic")
+        # Rejected at construction, not by the first query's GMRES call.
+        for option in ("max_iterations", "gmres_restart"):
+            for value in (0, -3):
+                with pytest.raises(InvalidParameterError, match=option):
+                    BePI(**{option: value})
         # The preconditioner engine, Krylov method and fallback switch are
         # no longer options.
         for option in ("ilu_engine", "iterative_method", "fallback_chain"):

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from repro import BePI, faults, telemetry
-from repro.approximate import ApproximateAnswerer
 from repro.faults import ConnectionDrop, FaultPlan, SlowLink
 from repro.gateway import (
+    CertifiedAnswerer,
     CircuitBreaker,
     Gateway,
     PoolServer,
@@ -154,8 +154,8 @@ class TestChaosDrill:
     def test_degraded_replies_hold_their_bound_through_recovery(
         self, pool, artifact_dir
     ):
-        """Single replica fully down: the Monte-Carlo rung answers with a
-        stated bound, and the post-recovery exact answer satisfies it."""
+        """Single replica fully down: the truncated-solve rung answers with
+        its certificate, and the post-recovery exact answer satisfies it."""
 
         async def scenario():
             async with PoolServer(pool) as srv:
@@ -165,13 +165,13 @@ class TestChaosDrill:
                         ConnectionDrop(endpoint="lonely", count=3),
                     ),
                 ))
-                answerer = ApproximateAnswerer(artifact_dir, n_walks=2000)
+                answerer = CertifiedAnswerer(artifact_dir)
                 gateway = Gateway(
                     [backend],
                     health_interval=0,
                     breaker_threshold=100,  # keep retrying the real link
                     degraded_answerer=answerer,
-                    answer_cache_size=0,  # force the Monte-Carlo rung
+                    answer_cache_size=0,  # force the truncated-solve rung
                 )
                 async with gateway:
                     seeds = [1, 5, 9]

@@ -273,32 +273,50 @@ class TestTopReconnect:
         assert calls["n"] == 2
 
 
+def _wait_for(log_path, prefix, timeout=30.0):
+    """The first log line starting with ``prefix``, or ``None`` if none
+    arrives in time."""
+    import time
+
+    deadline = time.monotonic() + timeout
+    while True:
+        lines = log_path.read_text().splitlines()
+        found = next((line for line in lines if line.startswith(prefix)), None)
+        if found is not None or time.monotonic() >= deadline:
+            return found
+        time.sleep(0.2)
+
+
+def _start(args, log_path, env):
+    """Start ``python -m repro ARGS`` in its own process group, output to
+    ``log_path``."""
+    import subprocess
+    import sys
+
+    with open(log_path, "w") as log:
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", *args],
+            stdout=log, stderr=subprocess.STDOUT, env=env,
+            start_new_session=True,
+        )
+
+
+def _repro_env():
+    import os
+    from pathlib import Path
+
+    return {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+
+
 class TestZeroDowntimeUpdateDrill:
     """``repro update`` publishes generations into a store while a
     ``repro serve --follow-store`` process keeps answering and swaps onto
     each one."""
 
-    @staticmethod
-    def _wait_for(log_path, prefix, timeout=30.0):
-        """Whether a line starting with ``prefix`` reaches the log in time."""
-        import time
-
-        deadline = time.monotonic() + timeout
-        while True:
-            lines = log_path.read_text().splitlines()
-            if any(line.startswith(prefix) for line in lines):
-                return True
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.2)
-
     def test_updates_publish_while_serving_follows(self, tmp_path, capsys):
         import json
         import os
         import signal
-        import subprocess
-        import sys
-        from pathlib import Path
 
         main(["datasets", "--export", str(tmp_path / "datasets")])
         store = str(tmp_path / "dyn-store")
@@ -306,16 +324,13 @@ class TestZeroDowntimeUpdateDrill:
               "-o", store, "--store"])
         capsys.readouterr()
         log_path = tmp_path / "dyn-serve.log"
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-        with open(log_path, "w") as log:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro", "serve", store, "--workers", "2",
-                 "--random", "4", "--linger", "120", "--follow-store", "0.2"],
-                stdout=log, stderr=subprocess.STDOUT, env=env,
-                start_new_session=True,
-            )
+        proc = _start(
+            ["serve", store, "--workers", "2", "--random", "4",
+             "--linger", "120", "--follow-store", "0.2"],
+            log_path, _repro_env(),
+        )
         try:
-            assert self._wait_for(log_path, "seed "), log_path.read_text()
+            assert _wait_for(log_path, "seed "), log_path.read_text()
             update_metrics = tmp_path / "update-metrics.json"
             assert main(["update", store, "--random-batch", "4", "--batches", "3",
                          "--error-bound", "0.05",
@@ -326,7 +341,7 @@ class TestZeroDowntimeUpdateDrill:
             assert main(["update", store, "--add", "1:2", "--add", "2:1",
                          "--metrics-out", str(skip_metrics)]) == 0
             assert "no-op" in capsys.readouterr().out
-            assert self._wait_for(log_path, "now serving gen-000005"), (
+            assert _wait_for(log_path, "now serving gen-000005"), (
                 log_path.read_text()
             )
             proc.send_signal(signal.SIGTERM)
@@ -353,3 +368,149 @@ class TestZeroDowntimeUpdateDrill:
         ratio = skip["gauges"]["rwr.dynamic.skipped_rebuild_ratio"]["value"]
         assert skipped >= 1, skip["counters"]
         assert ratio == 1.0, skip["gauges"]
+
+
+class TestNetworkChaosDrill:
+    """Two ``repro serve --listen`` backends behind ``repro gateway
+    --degrade``: a fault plan drops and slows one of them mid-load."""
+
+    def test_breaker_failover_and_degraded_bounds_over_the_wire(
+        self, tmp_path, capsys
+    ):
+        import asyncio
+        import json
+        import os
+        import signal
+        import time
+
+        import numpy as np
+
+        from repro import wire
+        from repro.gateway import HashRing
+
+        main(["datasets", "--export", str(tmp_path / "datasets")])
+        artifacts = str(tmp_path / "net-artifacts")
+        main(["build", str(tmp_path / "datasets" / "physicians_sim.tsv"),
+              "-o", artifacts])
+        capsys.readouterr()
+        env = _repro_env()
+        procs = []
+        try:
+            logs = [tmp_path / "nb1.log", tmp_path / "nb2.log"]
+            for log_path in logs:
+                procs.append(_start(
+                    ["serve", artifacts, "--workers", "1",
+                     "--listen", "127.0.0.1:0"], log_path, env,
+                ))
+            b1, b2 = (_wait_for(log_path, "pool listening on ") for log_path in logs)
+            assert b1 and b2, [log_path.read_text() for log_path in logs]
+            b1, b2 = (line.split()[3] for line in (b1, b2))
+            plan = tmp_path / "net-plan.json"
+            plan.write_text(json.dumps({
+                "connection_drops": [{"endpoint": b2, "count": 4}],
+                "slow_links": [{"endpoint": b2, "seconds": 0.05}],
+            }))
+            metrics = tmp_path / "net-metrics.json"
+            gw_log = tmp_path / "ngw.log"
+            gw = _start(
+                ["gateway", "--listen", "127.0.0.1:0",
+                 "--backend", b1, "--backend", b2,
+                 "--fault-plan", str(plan),
+                 "--breaker-threshold", "2", "--breaker-reset", "0.4",
+                 "--health-interval", "0", "--degrade", artifacts,
+                 "--metrics-out", str(metrics)], gw_log, env,
+            )
+            procs.append(gw)
+            listening = _wait_for(gw_log, "gateway listening on ")
+            assert listening, gw_log.read_text()
+            gw_host, gw_port = listening.split()[3].rsplit(":", 1)
+
+            DEADLINE_MS = 2000.0
+            WINDOW = 0.01
+            ring = HashRing([b1, b2])
+            chaotic = [s for s in range(200) if ring.route(s) == b2]
+            loop = asyncio.new_event_loop()
+            reader, writer = loop.run_until_complete(
+                asyncio.open_connection(gw_host, int(gw_port)))
+
+            async def round_trip(request):
+                await wire.write_message(writer, request)
+                return await wire.read_message(reader, timeout=30)
+
+            def query(seed, deadline_ms=DEADLINE_MS):
+                started = time.monotonic()
+                reply = loop.run_until_complete(round_trip(wire.QueryRequest(
+                    seeds=np.array([seed], dtype=np.int64),
+                    deadline_ms=deadline_ms)))
+                elapsed = time.monotonic() - started
+                assert isinstance(reply, wire.DenseReply), reply
+                # Acceptance: never more than ~one coalesce window past the
+                # budget (generous scheduler slack for a loaded CI box).
+                assert elapsed <= deadline_ms / 1000.0 + WINDOW + 0.5, (
+                    f"seed {seed} took {elapsed:.3f}s against "
+                    f"{deadline_ms}ms + one window")
+                return reply, elapsed
+
+            try:
+                # Outage phase: chaotic-routed seeds fail over while the drop
+                # budget lasts; the breaker opens after 2 failures.  (Hedging
+                # would mask the drops before they record a failure, so the
+                # drill leaves it off; test_chaos.py covers hedge wins.)
+                for seed in chaotic[:8]:
+                    reply, _ = query(seed)
+                    assert not reply.degraded  # the survivor serves exactly
+                # Tight budgets under a slowed fleet: the watchdog answers
+                # degraded inside the budget, with a stated bound.
+                degraded = {}
+                for seed in chaotic[8:11]:
+                    reply, _ = query(seed, deadline_ms=1.0)
+                    assert reply.degraded, f"seed {seed} should have degraded"
+                    assert reply.error_bound > 0
+                    degraded[seed] = (reply.scores[0].copy(), reply.error_bound)
+                # Recovery phase: half-open probes spend the remaining drop
+                # budget, then one succeeds and closes the breaker.
+                for _ in range(8):
+                    time.sleep(0.45)  # > --breaker-reset
+                    query(chaotic[0])
+                # Post-recovery exact answers must satisfy every degraded
+                # reply's stated bound.
+                for seed, (approx, bound) in degraded.items():
+                    reply, _ = query(seed)
+                    assert not reply.degraded
+                    gap = float(np.max(np.abs(approx - reply.scores[0])))
+                    assert gap <= bound, (
+                        f"seed {seed}: degraded reply missed its bound "
+                        f"({gap:.5f} > {bound:.5f})")
+            finally:
+                writer.close()
+                loop.run_until_complete(writer.wait_closed())
+                loop.close()
+
+            gw.send_signal(signal.SIGTERM)
+            gw.wait(timeout=60)
+            assert "draining and shutting down" in gw_log.read_text()
+            for proc in procs[:2]:
+                proc.send_signal(signal.SIGTERM)
+                proc.wait(timeout=60)
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    os.killpg(proc.pid, signal.SIGKILL)  # the server and its workers
+                    proc.wait()
+
+        with open(metrics) as fh:
+            snapshot = json.load(fh)
+        counters = snapshot["counters"]
+
+        def count(name):
+            return counters.get(name, {}).get("value", 0.0)
+
+        assert count("rwr.gateway.breaker.opened") >= 1, counters
+        assert count("rwr.gateway.breaker.closed") >= 1, counters
+        assert count("rwr.gateway.backend.errors") >= 1, counters
+        assert count("rwr.gateway.failovers") >= 1, counters
+        assert count("rwr.gateway.degraded") >= 3, counters
+        assert count("rwr.gateway.deadline.exceeded") >= 3, counters
+        state = snapshot["gauges"][
+            f"rwr.gateway.backend.{b2}.breaker_state"]["value"]
+        assert state == 0.0, f"breaker must end closed, got {state}"

@@ -1,6 +1,7 @@
 """Tests for the asyncio gateway: coalescing, shedding, sharding, failover."""
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from repro import BePI, InvalidParameterError, telemetry
 from repro.core.topk import PAIR_DTYPE
 from repro.gateway import (
     BackendError,
+    CertifiedAnswerer,
     Gateway,
     GatewayServer,
     HashRing,
@@ -24,6 +26,7 @@ from repro.persistence import save_artifacts
 from repro.serve import WorkerPool
 from repro import wire
 
+from .conftest import exact_rwr
 
 @pytest.fixture(scope="module")
 def served_solver(small_graph):
@@ -767,6 +770,45 @@ class TestWireTier:
                     assert stats["backends"]["only"]["healthy"] is True
 
         asyncio.run(scenario())
+
+
+class TestCertifiedAnswerer:
+    """The degraded rung: lazy load, the certificate as the bound, top-k."""
+
+    def test_lazy_until_first_answer(self, artifact_dir, small_graph):
+        answerer = CertifiedAnswerer(artifact_dir)
+        assert not answerer.loaded
+        scores, bound = answerer.answer_many([0])
+        assert answerer.loaded
+        assert scores.shape == (1, small_graph.n_nodes)
+        assert bound >= 0.0
+
+    def test_exact_answer_within_stated_bound(self, artifact_dir, small_graph):
+        answerer = CertifiedAnswerer(artifact_dir)
+        seeds = [0, 7]
+        exact = np.stack([exact_rwr(small_graph, 0.05, s) for s in seeds])
+        for deadline in (time.monotonic(), None):
+            scores, bound = answerer.answer_many(seeds, deadline=deadline)
+            assert np.abs(scores - exact).sum(axis=1).max() <= bound
+
+    def test_answers_are_deterministic(self, artifact_dir, served_solver):
+        first, _ = CertifiedAnswerer(artifact_dir).answer_many([3])
+        second, _ = CertifiedAnswerer(artifact_dir).answer_many([3])
+        assert np.array_equal(first, second)
+        # Run to tol, the rung's answer is the backends' exact one.
+        assert np.array_equal(first, served_solver.query_many([3]))
+
+    def test_topk_ranks_the_approximate_scores(self, artifact_dir):
+        answerer = CertifiedAnswerer(artifact_dir)
+        result, bound = answerer.answer_topk(2, 5, deadline=time.monotonic())
+        scores, same_bound = answerer.answer_many([2], deadline=time.monotonic())
+        assert len(result.ids) == 5
+        assert 2 not in result.ids  # exclude_seed honored
+        assert bound > 0 and bound == same_bound
+        # The ranking is the exact ranking of the truncated scores.
+        assert list(result.scores) == sorted(result.scores, reverse=True)
+        for node, score in zip(result.ids, result.scores):
+            assert scores[0, node] == score
 
 
 class TestGatewayValidation:

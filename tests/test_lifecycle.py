@@ -84,24 +84,28 @@ class FakeBackend:
 
 
 class FakeAnswerer:
-    """Degraded-answer stub with a fixed bound and recorded calls."""
+    """Degraded-answer stub with a fixed bound and recorded calls (and,
+    per call, the deadline it was given and the instant it ran)."""
 
     def __init__(self, n_cols=4, bound=0.25):
         self.n_cols = n_cols
         self.bound = bound
         self.calls = []
+        self.deadlines = []
 
-    def answer_many(self, seeds):
+    def answer_many(self, seeds, deadline=None):
         self.calls.append(list(seeds))
+        self.deadlines.append((deadline, time.monotonic()))
         return (
             np.full((len(seeds), self.n_cols), 0.5, dtype=np.float64),
             self.bound,
         )
 
-    def answer_topk(self, seed, k, exclude_seed=True):
+    def answer_topk(self, seed, k, exclude_seed=True, deadline=None):
         from repro.core.topk import TopKResult
 
         self.calls.append([seed])
+        self.deadlines.append((deadline, time.monotonic()))
         ids = np.arange(k, dtype=np.int64)
         return TopKResult(ids=ids, scores=np.full(k, 0.5)), self.bound
 
@@ -337,6 +341,41 @@ class TestGatewayDeadlines:
         assert elapsed < 0.060 + 0.1
         assert stats["deadline_exceeded"] == 1
         assert stats["degraded"] == 1
+
+    def test_rung_is_given_each_call_sites_deadline(self):
+        """Spent at admission, fired by the watchdog, and no replica
+        answering a request without a deadline: the rung's solve stops at
+        the request's own deadline, or runs to ``tol`` when it has none."""
+
+        async def scenario():
+            answerer = FakeAnswerer()
+            async with Gateway(
+                [FakeBackend(delay=0.5)],
+                health_interval=0,
+                degraded_answerer=answerer,
+                answer_cache_size=0,
+            ) as gateway:
+                await gateway.query_detailed(1, deadline_ms=-1.0)
+                watched_at = time.monotonic()
+                await gateway.query_detailed(2, deadline_ms=60.0)
+            async with Gateway(
+                [FakeBackend(fail=True)],
+                health_interval=0,
+                degraded_answerer=answerer,
+                answer_cache_size=0,
+            ) as gateway:
+                result = await gateway.query_detailed(3)
+            return answerer, watched_at, result
+
+        answerer, watched_at, result = asyncio.run(scenario())
+        # One solve per request: seed 2's backend call expires while the
+        # watchdog's solve runs, and does not start a second one.
+        assert answerer.calls == [[1], [2], [3]]
+        (spent, called), (watched, _), (unbounded, _) = answerer.deadlines
+        assert spent < called  # already past when the rung runs
+        assert watched == pytest.approx(watched_at + 0.060, abs=0.05)
+        assert unbounded is None
+        assert result.degraded
 
     def test_watchdog_without_ladder_raises_deadline_expired(self):
         async def scenario():

@@ -88,64 +88,3 @@ class TestInterface:
         assert scores[1] == pytest.approx(0.05, abs=0.02)
         assert scores[0] == 0.0
 
-
-class TestApproximateAnswerer:
-    """The degraded-answer wrapper: lazy load, Hoeffding bound, top-k."""
-
-    @pytest.fixture(scope="class")
-    def answer_dir(self, small_graph, tmp_path_factory):
-        from repro import BePI
-        from repro.persistence import save_artifacts
-
-        path = tmp_path_factory.mktemp("answerer") / "solver"
-        save_artifacts(BePI(tol=1e-11).preprocess(small_graph), path)
-        return path
-
-    def test_lazy_until_first_answer(self, answer_dir):
-        from repro.approximate import ApproximateAnswerer
-
-        answerer = ApproximateAnswerer(answer_dir, n_walks=500)
-        assert not answerer.loaded
-        scores, bound = answerer.answer_many([0])
-        assert answerer.loaded
-        assert scores.shape[0] == 1
-        assert bound > 0
-
-    def test_bound_shrinks_with_more_walks(self, answer_dir):
-        from repro.approximate import ApproximateAnswerer
-
-        few = ApproximateAnswerer(answer_dir, n_walks=500)
-        many = ApproximateAnswerer(answer_dir, n_walks=50_000)
-        assert many.error_bound < few.error_bound
-
-    def test_exact_answer_within_stated_bound(self, answer_dir, small_graph):
-        from repro import BePI
-        from repro.approximate import ApproximateAnswerer
-
-        solver = BePI(tol=1e-11).preprocess(small_graph)
-        answerer = ApproximateAnswerer(answer_dir, n_walks=5000)
-        seeds = [0, 7]
-        scores, bound = answerer.answer_many(seeds)
-        exact = solver.query_many(seeds)
-        assert float(np.max(np.abs(scores - exact))) <= bound
-
-    def test_answers_are_deterministic(self, answer_dir):
-        from repro.approximate import ApproximateAnswerer
-
-        first, _ = ApproximateAnswerer(answer_dir, n_walks=500).answer_many([3])
-        second, _ = ApproximateAnswerer(answer_dir, n_walks=500).answer_many([3])
-        assert np.array_equal(first, second)
-
-    def test_topk_ranks_the_approximate_scores(self, answer_dir):
-        from repro.approximate import ApproximateAnswerer
-
-        answerer = ApproximateAnswerer(answer_dir, n_walks=2000)
-        result, bound = answerer.answer_topk(2, 5)
-        scores, _ = answerer.answer_many([2])
-        assert len(result.ids) == 5
-        assert 2 not in result.ids  # exclude_seed honored
-        assert bound > 0
-        # The ranking is the exact ranking of the approximate scores.
-        assert list(result.scores) == sorted(result.scores, reverse=True)
-        for node, score in zip(result.ids, result.scores):
-            assert scores[0, node] == pytest.approx(score)
