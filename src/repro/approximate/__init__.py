@@ -10,7 +10,17 @@ Neither serves: the gateway's degraded replies are truncated BePI solves
 with a deterministic error certificate (:class:`repro.gateway.CertifiedAnswerer`).
 """
 
-from repro.approximate.monte_carlo import MonteCarloSolver
-from repro.approximate.nb_lin import NBLinSolver
+from typing import TYPE_CHECKING
 
-__all__ = ["MonteCarloSolver", "NBLinSolver"]
+from repro._lazy import attach
+
+_EXPORTS = {
+    "repro.approximate.monte_carlo": ("MonteCarloSolver",),
+    "repro.approximate.nb_lin": ("NBLinSolver",),
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.approximate.monte_carlo import MonteCarloSolver as MonteCarloSolver
+    from repro.approximate.nb_lin import NBLinSolver as NBLinSolver

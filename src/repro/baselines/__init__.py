@@ -13,16 +13,23 @@
   the exactness oracle for small graphs.
 """
 
-from repro.baselines.bear import BearSolver
-from repro.baselines.dense import DenseSolver
-from repro.baselines.gmres_solver import GMRESSolver
-from repro.baselines.lu import LUSolver
-from repro.baselines.power_solver import PowerSolver
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BearSolver",
-    "DenseSolver",
-    "GMRESSolver",
-    "LUSolver",
-    "PowerSolver",
-]
+from repro._lazy import attach
+
+_EXPORTS = {
+    "repro.baselines.bear": ("BearSolver",),
+    "repro.baselines.dense": ("DenseSolver",),
+    "repro.baselines.gmres_solver": ("GMRESSolver",),
+    "repro.baselines.lu": ("LUSolver",),
+    "repro.baselines.power_solver": ("PowerSolver",),
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.baselines.bear import BearSolver as BearSolver
+    from repro.baselines.dense import DenseSolver as DenseSolver
+    from repro.baselines.gmres_solver import GMRESSolver as GMRESSolver
+    from repro.baselines.lu import LUSolver as LUSolver
+    from repro.baselines.power_solver import PowerSolver as PowerSolver

@@ -12,19 +12,32 @@ laptop-scale equivalents:
   and collects the rows the benchmark suite prints.
 """
 
-from repro.bench.harness import ExperimentRecord, ExperimentRunner
-from repro.bench.memory import MemoryBudget, dense_memory_bytes, sparse_memory_bytes
-from repro.bench.profile import format_preprocess_profile
-from repro.bench.spy import block_diagonal_fraction, density_grid, spy_text
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ExperimentRecord",
-    "ExperimentRunner",
-    "MemoryBudget",
-    "block_diagonal_fraction",
-    "dense_memory_bytes",
-    "density_grid",
-    "format_preprocess_profile",
-    "sparse_memory_bytes",
-    "spy_text",
-]
+from repro._lazy import attach
+
+_EXPORTS = {
+    "repro.bench.harness": ("ExperimentRecord", "ExperimentRunner"),
+    "repro.bench.memory": ("MemoryBudget", "dense_memory_bytes", "sparse_memory_bytes"),
+    "repro.bench.profile": ("format_preprocess_profile",),
+    "repro.bench.spy": ("block_diagonal_fraction", "density_grid", "spy_text"),
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.bench.harness import (
+        ExperimentRecord as ExperimentRecord,
+        ExperimentRunner as ExperimentRunner,
+    )
+    from repro.bench.memory import (
+        MemoryBudget as MemoryBudget,
+        dense_memory_bytes as dense_memory_bytes,
+        sparse_memory_bytes as sparse_memory_bytes,
+    )
+    from repro.bench.profile import format_preprocess_profile as format_preprocess_profile
+    from repro.bench.spy import (
+        block_diagonal_fraction as block_diagonal_fraction,
+        density_grid as density_grid,
+        spy_text as spy_text,
+    )

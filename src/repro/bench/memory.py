@@ -18,7 +18,7 @@ missing bars of Figure 1 without actually exhausting RAM.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Optional, Union
+from typing import Dict, Iterable, Optional, Union
 
 try:  # the resource module is POSIX-only (absent on Windows)
     import resource
@@ -87,6 +87,45 @@ def process_rss_bytes() -> Optional[int]:
         return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     except (OSError, ValueError):  # pragma: no cover - platform-specific
         return None
+
+
+def mapped_rss_bytes(directory: Union[str, "os.PathLike[str]"]) -> Optional[int]:
+    """Resident bytes of the calling process's file mappings under ``directory``.
+
+    Sums the ``Rss`` of every ``/proc/self/smaps`` mapping of a file below
+    ``directory``: for a worker serving a memory-mapped bundle, the share
+    of the bundle it actually holds in memory (the pages sit in the shared
+    page cache, so every worker mapping them counts them).  Residency is
+    paged, so a file counts at most its own size: the figure never exceeds
+    the files' total bytes.  Returns ``None`` where ``/proc`` is
+    unavailable.  It reads the whole mapping table, so callers read it on
+    request, not per query.
+    """
+    prefix = os.path.join(os.path.realpath(directory), "")
+    resident: Dict[str, int] = {}
+    path = None
+    try:
+        with open("/proc/self/smaps") as smaps:
+            for line in smaps:
+                if line.startswith("Rss:"):
+                    if path is not None:
+                        kib = int(line.split()[1])
+                        resident[path] = resident.get(path, 0) + kib * 1024
+                elif "-" in line.split(" ", 1)[0]:  # a mapping's header line
+                    fields = line.rstrip("\n").split(None, 5)
+                    path = fields[5] if len(fields) == 6 else None
+                    if path is not None and not path.startswith(prefix):
+                        path = None
+    except OSError:
+        return None
+    total = 0
+    for path, nbytes in resident.items():
+        try:
+            nbytes = min(nbytes, os.path.getsize(path))
+        except OSError:  # unlinked since it was mapped
+            pass
+        total += nbytes
+    return total
 
 
 class MemoryBudget:

@@ -265,7 +265,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.faults import load_plan
-    from repro.serve import WorkerPool
+    from repro.serve import WorkerError, WorkerPool
 
     fault_plan = load_plan(args.fault_plan) if args.fault_plan else None
     if args.listen:
@@ -347,6 +347,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   f"{pool_stats['n_workers']} workers "
                   f"({pool_stats['worker_restarts']} worker restarts, "
                   f"{pool_stats['requests_retried']} requests retried)")
+            try:
+                memory = list(zip(pool.rss_bytes(), pool.bundle_rss_bytes()))
+            except WorkerError:  # no healthy worker left to ask
+                memory = []
+            for rss, resident in memory:
+                print(f"worker RSS {_megabytes(rss)}, of which the bundle's "
+                      f"mapped arrays {_megabytes(resident)}")
             force_killed = pool.stop()
             if force_killed:
                 print(f"force-killed wedged workers: {force_killed}",
@@ -358,6 +365,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
     return 0
+
+
+def _megabytes(nbytes: Optional[int]) -> str:
+    return "n/a" if nbytes is None else f"{nbytes / 1e6:.1f} MB"
 
 
 def _parse_edge_arg(text: str, with_weight: bool):

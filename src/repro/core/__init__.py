@@ -8,23 +8,38 @@
 - :mod:`repro.core.accuracy` — the accuracy bounds of Theorem 4.
 """
 
-from repro.core.accuracy import AccuracyBound, accuracy_bound, tolerance_for_target
-from repro.core.base import QueryResult, RWRSolver
-from repro.core.bepi import BePI, BePIB, BePIS
-from repro.core.hub_ratio import SchurSweepRecord, choose_hub_ratio, sweep_hub_ratios
-from repro.core.schur import compute_schur_complement
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "AccuracyBound",
-    "BePI",
-    "BePIB",
-    "BePIS",
-    "QueryResult",
-    "RWRSolver",
-    "SchurSweepRecord",
-    "accuracy_bound",
-    "choose_hub_ratio",
-    "compute_schur_complement",
-    "sweep_hub_ratios",
-    "tolerance_for_target",
-]
+from repro._lazy import attach
+
+_EXPORTS = {
+    "repro.core.accuracy": ("AccuracyBound", "accuracy_bound", "tolerance_for_target"),
+    "repro.core.base": ("QueryResult", "RWRSolver"),
+    "repro.core.bepi": ("BePI", "BePIB", "BePIS"),
+    "repro.core.hub_ratio": ("SchurSweepRecord", "choose_hub_ratio", "sweep_hub_ratios"),
+    "repro.core.schur": ("compute_schur_complement",),
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.core.accuracy import (
+        AccuracyBound as AccuracyBound,
+        accuracy_bound as accuracy_bound,
+        tolerance_for_target as tolerance_for_target,
+    )
+    from repro.core.base import (
+        QueryResult as QueryResult,
+        RWRSolver as RWRSolver,
+    )
+    from repro.core.bepi import (
+        BePI as BePI,
+        BePIB as BePIB,
+        BePIS as BePIS,
+    )
+    from repro.core.hub_ratio import (
+        SchurSweepRecord as SchurSweepRecord,
+        choose_hub_ratio as choose_hub_ratio,
+        sweep_hub_ratios as sweep_hub_ratios,
+    )
+    from repro.core.schur import compute_schur_complement as compute_schur_complement

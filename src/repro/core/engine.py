@@ -31,6 +31,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -72,6 +73,9 @@ class SolverArtifacts:
         ``ILUFactors`` or ``None`` (BePI only).
     schur_inv:
         The dense (or BEAR-Approx sparse) ``S^{-1}`` (Bear only).
+    source:
+        The artifact directory the bundle was loaded from, or ``None`` for
+        a bundle built in memory.
     """
 
     kind: str
@@ -80,6 +84,7 @@ class SolverArtifacts:
     preprocess: PreprocessArtifacts
     preconditioner: Optional[Any] = None
     schur_inv: Optional[Any] = None
+    source: Optional[Path] = None
 
     @property
     def n_nodes(self) -> int:

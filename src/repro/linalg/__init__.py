@@ -15,38 +15,56 @@ implement the algorithms themselves; the test suite cross-checks them
 against scipy's reference implementations.
 """
 
-from repro.linalg.block_lu import BlockDiagonalLU, factorize_block_diagonal
-from repro.linalg.gmres import (
-    GMRESBatchResult,
-    GMRESResult,
-    GMRESWorkspace,
-    gmres,
-    gmres_multi,
-)
-from repro.linalg.ilu import ILUFactors, sgs_factors
-from repro.linalg.power import PowerResult, power_iteration
-from repro.linalg.rwr_matrix import (
-    build_h_matrix,
-    partition_h,
-    row_normalize,
-)
-from repro.linalg.triangular import solve_lower_triangular, solve_upper_triangular
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BlockDiagonalLU",
-    "GMRESBatchResult",
-    "GMRESResult",
-    "GMRESWorkspace",
-    "ILUFactors",
-    "PowerResult",
-    "build_h_matrix",
-    "factorize_block_diagonal",
-    "gmres",
-    "gmres_multi",
-    "partition_h",
-    "power_iteration",
-    "row_normalize",
-    "sgs_factors",
-    "solve_lower_triangular",
-    "solve_upper_triangular",
-]
+from repro._lazy import attach
+
+# Bound eagerly: ``gmres`` shares its name with repro.linalg.gmres, and
+# importing that module would bind the module here instead.
+from repro.linalg.gmres import gmres as gmres
+
+_EXPORTS = {
+    "repro.linalg.block_lu": ("BlockDiagonalLU", "factorize_block_diagonal"),
+    "repro.linalg.gmres": (
+        "GMRESBatchResult",
+        "GMRESResult",
+        "GMRESWorkspace",
+        "gmres",
+        "gmres_multi",
+    ),
+    "repro.linalg.ilu": ("ILUFactors", "sgs_factors"),
+    "repro.linalg.power": ("PowerResult", "power_iteration"),
+    "repro.linalg.rwr_matrix": ("build_h_matrix", "partition_h", "row_normalize"),
+    "repro.linalg.triangular": ("solve_lower_triangular", "solve_upper_triangular"),
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.linalg.block_lu import (
+        BlockDiagonalLU as BlockDiagonalLU,
+        factorize_block_diagonal as factorize_block_diagonal,
+    )
+    from repro.linalg.gmres import (
+        GMRESBatchResult as GMRESBatchResult,
+        GMRESResult as GMRESResult,
+        GMRESWorkspace as GMRESWorkspace,
+        gmres_multi as gmres_multi,
+    )
+    from repro.linalg.ilu import (
+        ILUFactors as ILUFactors,
+        sgs_factors as sgs_factors,
+    )
+    from repro.linalg.power import (
+        PowerResult as PowerResult,
+        power_iteration as power_iteration,
+    )
+    from repro.linalg.rwr_matrix import (
+        build_h_matrix as build_h_matrix,
+        partition_h as partition_h,
+        row_normalize as row_normalize,
+    )
+    from repro.linalg.triangular import (
+        solve_lower_triangular as solve_lower_triangular,
+        solve_upper_triangular as solve_upper_triangular,
+    )

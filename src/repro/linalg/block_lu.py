@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from repro.exceptions import InvalidParameterError, SingularMatrixError
@@ -80,6 +79,10 @@ def _invert_stack(stack: np.ndarray) -> tuple:
         values = stack[:, 0, 0]
         with np.errstate(divide="ignore"):
             return np.ones_like(stack), (1.0 / values)[:, None, None], np.abs(values)
+    # Imported here, where the build runs: scipy.linalg is ~8 MB of RSS that
+    # a serving process, which only reads the inverted factors, never needs.
+    import scipy.linalg as sla
+
     rows, lower, upper = sla.lu(stack, p_indices=True)
     pivots = np.abs(np.diagonal(upper, axis1=1, axis2=2)).min(axis=1)
     ok = pivots > 0.0

@@ -364,6 +364,7 @@ def load_artifacts(
         graph=graph,
         preprocess=artifacts,
         preconditioner=preconditioner,
+        source=root,
     )
 
 

@@ -11,17 +11,31 @@ BePI's preprocessing (Section 3.2 of the paper) rests on two reorderings:
    diagonal (Fig. 3).
 """
 
-from repro.reorder.deadend import DeadendSplit, deadend_reorder
-from repro.reorder.hubspoke import HubSpokePartition, hub_and_spoke_partition
-from repro.reorder.permutation import Permutation
-from repro.reorder.slashburn import SlashBurnResult, slashburn
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "DeadendSplit",
-    "HubSpokePartition",
-    "Permutation",
-    "SlashBurnResult",
-    "deadend_reorder",
-    "hub_and_spoke_partition",
-    "slashburn",
-]
+from repro._lazy import attach
+
+# Bound eagerly: ``slashburn`` shares its name with repro.reorder.slashburn, and
+# importing that module would bind the module here instead.
+from repro.reorder.slashburn import slashburn as slashburn
+
+_EXPORTS = {
+    "repro.reorder.deadend": ("DeadendSplit", "deadend_reorder"),
+    "repro.reorder.hubspoke": ("HubSpokePartition", "hub_and_spoke_partition"),
+    "repro.reorder.permutation": ("Permutation",),
+    "repro.reorder.slashburn": ("SlashBurnResult", "slashburn"),
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.reorder.deadend import (
+        DeadendSplit as DeadendSplit,
+        deadend_reorder as deadend_reorder,
+    )
+    from repro.reorder.hubspoke import (
+        HubSpokePartition as HubSpokePartition,
+        hub_and_spoke_partition as hub_and_spoke_partition,
+    )
+    from repro.reorder.permutation import Permutation as Permutation
+    from repro.reorder.slashburn import SlashBurnResult as SlashBurnResult

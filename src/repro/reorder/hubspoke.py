@@ -124,13 +124,15 @@ def hub_and_spoke_partition(
             slashburn_iterations=0,
             hub_ratio=k,
         )
-    sym = graph.symmetrized()
+    # SlashBurn symmetrizes the adjacency itself, and weak components ignore
+    # edge direction, so only the degree ablation builds ``A + A^T`` here.
+    adjacency = graph.adjacency
     if slashburn_result is not None:
         result = slashburn_result
     elif method == "degree":
-        result = _degree_hub_selection(sym, k)
+        result = _degree_hub_selection(graph.symmetrized(), k)
     else:
-        result = slashburn(sym, k)
+        result = slashburn(adjacency, k)
     hubs = result.hubs
     spokes = result.spokes
 
@@ -140,8 +142,7 @@ def hub_and_spoke_partition(
     else:
         # One diagonal block of H11 per weakly connected component of the
         # hub-free graph.
-        spoke_sub = sym[spokes][:, spokes]
-        _n_comp, labels = connected_components(spoke_sub)
+        _n_comp, labels = connected_components(adjacency[spokes][:, spokes])
         by_block = np.argsort(labels, kind="stable")
         ordered_spokes = spokes[by_block]
         block_sizes = np.bincount(labels).astype(np.int64)

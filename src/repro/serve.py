@@ -35,7 +35,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import faults, telemetry, tracing
-from repro.bench.memory import process_rss_bytes
+from repro.bench.memory import mapped_rss_bytes, process_rss_bytes
 from repro.core.engine import (
     BearQueryEngine,
     BePIQueryEngine,
@@ -301,6 +301,13 @@ def _worker_trace(registry: MetricsRegistry, trace_payload):
             yield records
 
 
+def _bundle_rss_bytes(engine: QueryEngine) -> Optional[int]:
+    """Resident bytes of the served bundle's memory-mapped array files, or
+    ``None`` (no ``/proc``, or a bundle not loaded from a directory)."""
+    source = engine.artifacts.source
+    return None if source is None else mapped_rss_bytes(source)
+
+
 def _worker_main(worker_id, path, mmap, task_queue, result_queue, fault_plan=None):
     """Worker loop: open the artifact directory, then answer until ``stop``.
 
@@ -432,6 +439,8 @@ def _worker_main(worker_id, path, mmap, task_queue, result_queue, fault_plan=Non
                     payload = {"n_nodes": engine.n_nodes, "pid": os.getpid()}
                 elif command == "rss":
                     payload = process_rss_bytes()
+                elif command == "bundle_rss":
+                    payload = _bundle_rss_bytes(engine)
                 elif command == "metrics":
                     registry.gauge(
                         "serve.uptime.seconds", help="worker loop uptime"
@@ -439,6 +448,12 @@ def _worker_main(worker_id, path, mmap, task_queue, result_queue, fault_plan=Non
                     rss_now = process_rss_bytes()
                     if rss_now is not None:
                         registry.gauge("serve.rss.bytes", help="worker RSS").set(rss_now)
+                    bundle_rss = _bundle_rss_bytes(engine)
+                    if bundle_rss is not None:
+                        registry.gauge(
+                            "serve.bundle_rss.bytes",
+                            help="resident bytes of the served bundle's mapped arrays",
+                        ).set(bundle_rss)
                     payload = registry.snapshot()
                 else:
                     raise ValueError(f"unknown worker command {command!r}")
@@ -876,9 +891,20 @@ class WorkerPool:
     @_single_caller
     def rss_bytes(self) -> List[int]:
         """Current resident set size of every healthy worker, in bytes."""
-        requests = {self._dispatch(w, ("rss",)): w for w in self._require_healthy()}
-        results = self._collect(set(requests))
-        return [results[rid] for rid in sorted(requests, key=requests.get)]
+        return self._ask_each(("rss",))
+
+    @_single_caller
+    def bundle_rss_bytes(self) -> List[Optional[int]]:
+        """Resident bytes of the served bundle in every healthy worker.
+
+        The summed ``Rss`` of each worker's ``/proc/self/smaps`` mappings of
+        the served generation's array files, next to :meth:`rss_bytes`'s
+        whole-process figure: what of the process is the bundle, and what
+        is the interpreter and its imports.  ``None`` where ``/proc`` is
+        missing.  Read on request only; it costs a walk of the mapping
+        table.
+        """
+        return self._ask_each(("bundle_rss",))
 
     def worker_stats(self) -> List[Dict[str, Any]]:
         """Per-worker load statistics reported at startup."""
@@ -890,9 +916,7 @@ class WorkerPool:
     @_single_caller
     def worker_metrics(self) -> List[Dict[str, Any]]:
         """One metrics snapshot per healthy worker (see :mod:`repro.telemetry`)."""
-        requests = {self._dispatch(w, ("metrics",)): w for w in self._require_healthy()}
-        results = self._collect(set(requests))
-        return [results[rid] for rid in sorted(requests, key=requests.get)]
+        return self._ask_each(("metrics",))
 
     def metrics(self) -> MetricsRegistry:
         """Merged metrics across every worker plus the pool's own counters.
@@ -1231,6 +1255,13 @@ class WorkerPool:
             help="bytes per top-k wire reply (k 16-byte pairs per seed)",
         ).observe(reply_bytes)
 
+    def _ask_each(self, command: tuple) -> List[Any]:
+        """Send a control ``command`` to every healthy worker; the replies
+        in worker order."""
+        requests = {self._dispatch(w, command): w for w in self._require_healthy()}
+        results = self._collect(set(requests))
+        return [results[rid] for rid in sorted(requests, key=requests.get)]
+
     def _dispatch(
         self,
         worker: int,
@@ -1242,9 +1273,10 @@ class WorkerPool:
 
         ``command`` is ``("query_many", seeds)``,
         ``("query_topk", (seeds, k, exclude_seed))``, ``("reopen",)``,
-        ``("rss",)`` or ``("metrics",)``.  ``origin`` is the id the caller
-        holds; the first dispatch uses the wire id itself, re-dispatches
-        get a fresh wire id mapping back to the same origin.
+        ``("rss",)``, ``("bundle_rss",)`` or ``("metrics",)``.  ``origin``
+        is the id the caller holds; the first dispatch uses the wire id
+        itself, re-dispatches get a fresh wire id mapping back to the same
+        origin.
         """
         if self._closed:
             raise WorkerError("pool is stopped")

@@ -203,6 +203,7 @@ class TestMetrics:
                      "--metrics-out", snapshot_path]) == 0
         out = capsys.readouterr().out
         assert "served 3 queries across 2 workers" in out
+        assert out.count("of which the bundle's mapped arrays") == 2
         with open(snapshot_path) as fh:
             snapshot = json.load(fh)
         assert snapshot["counters"]["rwr.queries"]["value"] == 3
@@ -514,3 +515,121 @@ class TestNetworkChaosDrill:
         state = snapshot["gauges"][
             f"rwr.gateway.backend.{b2}.breaker_state"]["value"]
         assert state == 0.0, f"breaker must end closed, got {state}"
+
+
+class TestObservabilityDrill:
+    """Two traced ``repro serve --listen`` backends behind a traced ``repro
+    gateway``: one request's spans join up across processes, and the
+    fleet snapshot's exemplars point at logged traces."""
+
+    def test_traced_multi_host_drill(self, tmp_path, capsys):
+        import asyncio
+        import json
+        import os
+        import signal
+
+        import numpy as np
+
+        from repro import wire
+
+        main(["datasets", "--export", str(tmp_path / "datasets")])
+        artifacts = str(tmp_path / "obs-artifacts")
+        main(["build", str(tmp_path / "datasets" / "physicians_sim.tsv"),
+              "-o", artifacts])
+        capsys.readouterr()
+        env = _repro_env()
+        logs = [tmp_path / "b1.log", tmp_path / "b2.log"]
+        gw_log = tmp_path / "gw.log"
+        gw_trace = tmp_path / "gw-trace.jsonl"
+        fleet_path = tmp_path / "gateway-fleet.json"
+        procs = []
+        try:
+            for index, log_path in enumerate(logs, start=1):
+                procs.append(_start(
+                    ["serve", artifacts, "--workers", "1",
+                     "--listen", "127.0.0.1:0", "--trace-sample", "1.0",
+                     "--trace-log", str(tmp_path / f"b{index}-trace.jsonl")],
+                    log_path, env,
+                ))
+            b1, b2 = (_wait_for(log_path, "pool listening on ") for log_path in logs)
+            assert b1 and b2, [log_path.read_text() for log_path in logs]
+            b1, b2 = (line.split()[3] for line in (b1, b2))
+            gw = _start(
+                ["gateway", "--listen", "127.0.0.1:0",
+                 "--backend", b1, "--backend", b2,
+                 "--trace-sample", "1.0", "--trace-log", str(gw_trace),
+                 "--slow-query", "0.0001",
+                 "--metrics-out", str(fleet_path)], gw_log, env,
+            )
+            procs.append(gw)
+            listening = _wait_for(gw_log, "gateway listening on ")
+            assert listening, gw_log.read_text()
+            address = listening.split()[3]
+            gw_host, gw_port = address.rsplit(":", 1)
+
+            async def client():
+                reader, writer = await asyncio.open_connection(gw_host, int(gw_port))
+                try:
+                    for seed in range(6):
+                        await wire.write_message(
+                            writer, wire.QueryRequest(seeds=np.array([seed])))
+                        reply = await wire.read_message(reader, timeout=30)
+                        assert isinstance(reply, wire.DenseReply), reply
+                    for seed in range(4):
+                        await wire.write_message(
+                            writer, wire.TopKRequest(seeds=np.array([seed]), k=5))
+                        reply = await wire.read_message(reader, timeout=30)
+                        assert isinstance(reply, wire.TopKReply), reply
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+
+            asyncio.run(client())
+            assert main(["top", address, "--once", "--no-clear"]) == 0
+            assert "repro fleet — 2 backend(s)" in capsys.readouterr().out
+
+            gw.send_signal(signal.SIGTERM)
+            gw.wait(timeout=60)
+            assert "draining and shutting down" in gw_log.read_text()
+            for proc, log_path in zip(procs[:2], logs):
+                proc.send_signal(signal.SIGTERM)
+                proc.wait(timeout=60)
+                assert "draining and shutting down" in log_path.read_text()
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    os.killpg(proc.pid, signal.SIGKILL)  # the server and its workers
+                    proc.wait()
+
+        lines = [json.loads(line) for line in gw_trace.read_text().splitlines()]
+        records = [r for r in lines if "trace_id" in r]
+        slow = [r for r in lines if "slow_query" in r]
+        assert records, "gateway trace log has no span records"
+        assert slow, "no slow-query entries despite --slow-query 0.0001"
+        by_trace = {}
+        for record in records:
+            by_trace.setdefault(record["trace_id"], []).append(record)
+        complete = None
+        for spans in by_trace.values():
+            names = {s["name"] for s in spans}
+            pids = {s["pid"] for s in spans}
+            if ("gateway.request" in names and "serve.queue_wait" in names
+                    and any(n.startswith("query.") for n in names)
+                    and len(spans) >= 5 and len(pids) >= 2):
+                complete = spans
+                break
+        assert complete, {t: sorted({s["name"] for s in v}) for t, v in by_trace.items()}
+        roots = [s for s in complete if s["parent_id"] is None]
+        assert len(roots) == 1, roots
+
+        fleet = json.loads(fleet_path.read_text())
+        exemplars = {
+            name: hist["exemplars"]
+            for name, hist in fleet["histograms"].items()
+            if hist.get("exemplars")
+        }
+        assert exemplars, sorted(fleet["histograms"])
+        linked = {
+            trace for mapping in exemplars.values() for trace in mapping.values()
+        } & set(by_trace)
+        assert linked, (sorted(exemplars), sorted(by_trace)[:5])

@@ -77,3 +77,59 @@ class TestPartition:
         small = hub_and_spoke_partition(medium_graph, k=0.05)
         large = hub_and_spoke_partition(medium_graph, k=0.4)
         assert large.n_hubs > small.n_hubs
+
+
+def _double_symmetrized_partition(graph, k, slashburn_result=None, method="slashburn"):
+    """The partition as built when the graph was symmetrized here and then
+    again inside SlashBurn, with spoke blocks found on ``A + A^T``: the
+    reference the single symmetrization must reproduce exactly."""
+    from repro.graph.components import connected_components
+    from repro.reorder.hubspoke import HubSpokePartition
+    from repro.reorder.permutation import Permutation
+    from repro.reorder.slashburn import slashburn
+
+    assert slashburn_result is None and method == "slashburn"
+    sym = graph.symmetrized()
+    result = slashburn(sym, k)
+    spokes = result.spokes
+    _n, labels = connected_components(sym[spokes][:, spokes])
+    order = np.concatenate([spokes[np.argsort(labels, kind="stable")], result.hubs])
+    return HubSpokePartition(
+        permutation=Permutation(order),
+        n_spokes=int(spokes.size),
+        n_hubs=int(result.hubs.size),
+        block_sizes=np.bincount(labels).astype(np.int64),
+        slashburn_iterations=result.n_iterations,
+        hub_ratio=k,
+    )
+
+
+class TestSymmetrizedOnce:
+    """SlashBurn symmetrizes the adjacency once; the partition, and so every
+    published array, is what the double symmetrization built."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k", [0.02, 0.2])
+    def test_partition_matches_double_symmetrization(self, seed, k):
+        from repro import generate_rmat
+
+        graph = generate_rmat(9, 4000, seed=seed)
+        ours = hub_and_spoke_partition(graph, k)
+        reference = _double_symmetrized_partition(graph, k)
+        assert np.array_equal(ours.permutation.order, reference.permutation.order)
+        assert np.array_equal(ours.block_sizes, reference.block_sizes)
+        assert (ours.n_spokes, ours.n_hubs, ours.slashburn_iterations) == (
+            reference.n_spokes, reference.n_hubs, reference.slashburn_iterations)
+
+    def test_scale_12_build_publishes_identical_arrays(self, tmp_path, monkeypatch):
+        from repro import BePI, generate_rmat, save_artifacts
+        from repro.core import pipeline
+        from repro.persistence import read_manifest
+
+        graph = generate_rmat(12, 8 * 2**12, seed=3)
+        save_artifacts(BePI(tol=1e-9).preprocess(graph), tmp_path / "once")
+        monkeypatch.setattr(pipeline, "hub_and_spoke_partition",
+                            _double_symmetrized_partition)
+        save_artifacts(BePI(tol=1e-9).preprocess(graph), tmp_path / "twice")
+        once = read_manifest(tmp_path / "once")["checksums"]
+        assert once and once == read_manifest(tmp_path / "twice")["checksums"]

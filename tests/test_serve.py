@@ -441,6 +441,62 @@ class TestGenerationSwap:
             )
 
 
+class TestResidentBundle:
+    """Each worker reports how much of the served bundle is resident, next
+    to its whole-process RSS."""
+
+    def test_resident_share_is_positive_and_within_the_bundle(
+        self, served_solver, tmp_path
+    ):
+        from repro import artifact_nbytes, generate_rmat
+
+        store = ArtifactStore(tmp_path / "store")
+        store.publish(served_solver)
+        with WorkerPool(store.root, n_workers=1, timeout=120) as pool:
+            for seed in range(50):
+                pool.query_topk(seed, 16)
+            bundle = artifact_nbytes(store.current_path())
+            (resident,) = pool.bundle_rss_bytes()
+            (rss,) = pool.rss_bytes()
+            assert 0 < resident <= bundle
+            assert resident < rss
+            gauge = pool.metrics().snapshot()["gauges"]["serve.bundle_rss.bytes"]
+            assert 0 < gauge["value"] <= bundle
+
+            # After a swap the figure is the new generation's.
+            store.publish(BePI(tol=1e-11, hub_ratio=0.2).preprocess(
+                generate_rmat(7, 760, seed=9)))
+            pool.refresh_generation()
+            pool.query_topk(0, 16)
+            (resident,) = pool.bundle_rss_bytes()
+            assert 0 < resident <= artifact_nbytes(store.current_path())
+
+    def test_mapped_rss_counts_touched_pages_up_to_file_size(self, tmp_path):
+        from repro.bench.memory import mapped_rss_bytes
+
+        np.save(tmp_path / "a.npy", np.arange(300_000, dtype=np.float64))
+        np.save(tmp_path / "b.npy", np.arange(3, dtype=np.int64))
+        assert mapped_rss_bytes(tmp_path) == 0
+        a = np.load(tmp_path / "a.npy", mmap_mode="r")
+        b = np.load(tmp_path / "b.npy", mmap_mode="r")
+        assert mapped_rss_bytes(tmp_path) == 0  # mapped, nothing touched
+        float(a[:1000].sum())
+        assert 0 < mapped_rss_bytes(tmp_path) < a.nbytes
+        float(a.sum() + b.sum())
+        total = sum(f.stat().st_size for f in tmp_path.glob("*.npy"))
+        assert mapped_rss_bytes(tmp_path) == total
+        assert mapped_rss_bytes(tmp_path / "elsewhere") == 0
+
+    def test_no_proc_reads_none(self, tmp_path, monkeypatch):
+        from repro.bench import memory
+
+        def no_proc(*args, **kwargs):
+            raise FileNotFoundError("/proc/self/smaps")
+
+        monkeypatch.setattr(memory, "open", no_proc, raising=False)
+        assert memory.mapped_rss_bytes(tmp_path) is None
+
+
 class TestSupervisionRouting:
     def test_pinned_disabled_worker_reroutes_to_least_loaded(self, artifact_dir):
         with WorkerPool(artifact_dir, n_workers=3, timeout=120) as pool:
