@@ -34,7 +34,11 @@ private copy: scale 12 (1.5 MiB payload, 4 runs) 832–932 vs 704–924 KiB,
 indistinguishable; scale 13 (3.2 MiB, 4 runs) 1,132–1,144 vs
 1,724–2,876 KiB; scale 14 (14 runs) 1,272–1,460 vs 5,172–6,328 KiB
 (19–22% vs 78–95% of the payload).  So the comparison resolves from
-scale 14 on.
+scale 14 on.  The load-delta pools start their workers with ``spawn``: a
+worker forked from the pool's default preloaded forkserver starts with
+the server's imports, and its load delta also counts the library pages
+the first open touches (4,900 KiB per mmap worker at scale 14, 130% of
+the payload, against 1,348 KiB spawned).
 
 Usage::
 
@@ -92,7 +96,12 @@ def _cold_load_times(artifact_dir: Path, repeats: int):
 
 
 def _pool_load_deltas(artifact_dir: Path, n_workers: int, mmap: bool):
-    with WorkerPool(artifact_dir, n_workers=n_workers, mmap=mmap) as pool:
+    # Spawned, not forked from the pool's preloaded forkserver: a forked
+    # worker's load delta also counts the library pages the first open
+    # faults in (~4.9 MiB at scale 14), which is not the artifact's cost.
+    with WorkerPool(
+        artifact_dir, n_workers=n_workers, mmap=mmap, start_method="spawn"
+    ) as pool:
         return [s["load_rss_delta_bytes"] for s in pool.worker_stats()]
 
 

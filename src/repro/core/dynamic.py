@@ -55,6 +55,7 @@ from typing import (
 import numpy as np
 
 from repro import telemetry
+from repro._forkserver import process_context
 from repro.core.base import BatchQueryResult, QueryResult, RWRSolver
 from repro.core.bepi import BePI
 from repro.core.engine import SolverArtifacts
@@ -113,7 +114,8 @@ def _background_rebuild_main(
     options: Dict[str, Any],
     result_queue: "mp.Queue",
 ) -> None:
-    """Entry point of the background rebuild child (spawn start method).
+    """Entry point of the background rebuild child (forked from the
+    package's forkserver, see :mod:`repro._forkserver`).
 
     Opens the store's *current* generation, applies the batch, rebuilds
     through :func:`rebuild_solver` (full rebuilds reproduce the bundle's
@@ -512,7 +514,7 @@ class DynamicRWR:
         # the batch on top of the generation the previous child produces).
         self.wait_for_rebuild()
         assert self.artifact_store is not None  # enforced in _init_policy
-        ctx = mp.get_context("spawn")
+        ctx = process_context()
         result_queue: "mp.Queue" = ctx.Queue()
         process = ctx.Process(
             target=_background_rebuild_main,

@@ -103,7 +103,7 @@ class UpdateBatch:
         ).hexdigest()
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (crosses the spawn boundary of the
+        """JSON-serializable form (crosses the process boundary of the
         background rebuilder)."""
         return {
             "added": [[int(u), int(v), None if w is None else float(w)]

@@ -24,7 +24,7 @@ fault an explicit, serializable **plan** instead:
   hedging and degradation ladder in the chaos suite.
 
 A :class:`FaultPlan` groups the specs and round-trips through plain dicts
-and JSON, so it can cross the ``spawn`` boundary into worker processes and
+and JSON, so it can cross the process boundary into worker processes and
 be checked into CI fixtures.  Faults fire through a process-local injector
 (:func:`install` / :func:`clear` / :func:`active`); when no plan is
 installed every query function returns its "no fault" answer on a single
@@ -192,7 +192,7 @@ class FaultPlan:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
     # ------------------------------------------------------------------
-    # Serialization (crosses the multiprocessing spawn boundary and CI)
+    # Serialization (crosses the process boundary and CI)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, List[dict]]:
         return {

@@ -697,7 +697,7 @@ class Gateway:
         request traces; defaults to the process-global tracer.  The
         tracer's ``sample_rate`` decides which requests get a trace —
         a sampled request mints a ``trace_id`` at admission and the
-        context rides to the backends (and across their spawn
+        context rides to the backends (and across their process
         boundaries), so the tracer's ring ends up holding complete
         end-to-end traces.
     breaker_threshold / breaker_reset:
@@ -1720,9 +1720,9 @@ class Gateway:
     # ------------------------------------------------------------------
     def fleet_registry(self) -> MetricsRegistry:
         """One merged registry over the gateway's own metrics and every
-        backend's last-polled snapshot (counters/gauges sum, histograms
-        merge bucket-wise), so fleet-wide p50/p95/p99 read like a
-        single-process run."""
+        backend's last-polled snapshot (counters sum, gauges keep the
+        max, histograms merge bucket-wise), so fleet-wide p50/p95/p99 read
+        like a single-process run."""
         self.tracer.export_to(self.registry)
         return telemetry.merge_snapshots(
             list(self._fleet_snapshots.values()) + [self.registry.snapshot()]

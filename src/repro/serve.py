@@ -21,7 +21,6 @@ artifact directory or a store root);
 from __future__ import annotations
 
 import functools
-import multiprocessing as mp
 import os
 import queue
 import signal
@@ -35,6 +34,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import faults, telemetry, tracing
+from repro._forkserver import process_context
 from repro.bench.memory import mapped_rss_bytes, process_rss_bytes
 from repro.core.engine import (
     BearQueryEngine,
@@ -317,7 +317,7 @@ def _worker_main(worker_id, path, mmap, task_queue, result_queue, fault_plan=Non
     artifact size — the pages are shared, not copied).
 
     ``fault_plan`` is an optional :class:`repro.faults.FaultPlan` as a dict
-    (dataclasses do not cross the ``spawn`` boundary cheaply); when present
+    (dataclasses do not cross the process boundary cheaply); when present
     the worker installs it and honours its crash/hang/delay directives,
     which is how the chaos tests produce reproducible failures.
     """
@@ -464,7 +464,7 @@ def _worker_main(worker_id, path, mmap, task_queue, result_queue, fault_plan=Non
             else:
                 if trace_records:
                     # Traced query: ship the worker-side span records back
-                    # across the spawn boundary in the reply tuple.
+                    # across the process boundary in the reply tuple.
                     result_queue.put(
                         ("result", worker_id, request_id, payload, trace_records)
                     )
@@ -486,10 +486,19 @@ class WorkerPool:
         Open the arrays memory-mapped (the point of the exercise); pass
         ``False`` only to measure what private copies would cost.
     start_method:
-        ``multiprocessing`` start method.  The default ``"spawn"`` gives
-        every worker a cold interpreter, so its RSS numbers measure the
-        artifact-loading cost alone rather than pages inherited from the
-        parent.
+        ``multiprocessing`` start method.  The default (``None``) forks
+        every worker, respawn included, from the process-wide forkserver
+        whose server has imported :mod:`repro.serve`
+        (:mod:`repro._forkserver`): only the first pool of a process pays
+        for a new interpreter importing numpy and ``scipy.sparse``, and a
+        later pool boots in tens of milliseconds instead of ~0.45 s.  The
+        parent's own state never reaches a worker (the server is not the
+        parent).  A forked worker's RSS counts only the server's pages it
+        touches, so it is lower than a cold interpreter's, and its load
+        delta also counts library pages the first open faults in; pass
+        ``"spawn"`` to measure the artifact-loading cost alone, as
+        ``benchmarks/bench_serve.py`` does.  Where the platform has no
+        ``forkserver`` the default is ``"spawn"``.
     metrics_path:
         Optional path of a JSON metrics snapshot the pool keeps fresh: the
         merged worker metrics are rewritten there after every query batch
@@ -555,7 +564,7 @@ class WorkerPool:
         path: PathLike,
         n_workers: int = 2,
         mmap: bool = True,
-        start_method: str = "spawn",
+        start_method: Optional[str] = None,
         timeout: float = DEFAULT_TIMEOUT,
         metrics_path: Optional[PathLike] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -591,7 +600,7 @@ class WorkerPool:
         # query_many -> _ensure_current_generation both take it.
         self._caller_lock = threading.RLock()
         self._mmap = mmap
-        self._ctx = mp.get_context(start_method)
+        self._ctx = process_context(start_method)
         self._result_queue = self._ctx.Queue()
         self._task_queues: List[Any] = []
         self._processes: List[Any] = []
@@ -658,16 +667,45 @@ class WorkerPool:
             self._processes.append(process)
         self._stats: List[Dict[str, Any]] = [{} for _ in range(n_workers)]
         try:
-            pending = set(range(n_workers))
-            while pending:
-                kind, worker_id, _, payload = self._result_queue.get(timeout=timeout)
-                if kind == "error":
-                    raise WorkerError(f"worker {worker_id} failed to start: {payload}")
-                self._stats[worker_id] = payload
-                pending.discard(worker_id)
+            self._await_ready(timeout)
         except BaseException:
             self._terminate()
             raise
+
+    def _await_ready(self, timeout: float) -> None:
+        """Wait for every worker's ``ready`` message, watching the workers.
+
+        A worker that dies before it reports (killed, or failing before
+        it can put its error) raises :class:`WorkerError` within two
+        polls; a message it put before exiting is already in the pipe by
+        then, so the second poll reads it first.
+        """
+        deadline = time.monotonic() + timeout
+        pending = set(range(self.n_workers))
+        dead_before: set = set()
+        while pending:
+            try:
+                kind, worker_id, _, payload = self._result_queue.get(
+                    timeout=POLL_INTERVAL
+                )
+            except queue.Empty:
+                dead = {w for w in pending if not self._processes[w].is_alive()}
+                lost = sorted(dead & dead_before)
+                if lost:
+                    raise WorkerError(
+                        f"worker {lost[0]} died before it was ready "
+                        f"(exit code {self._processes[lost[0]].exitcode})"
+                    )
+                dead_before = dead
+                if time.monotonic() >= deadline:
+                    raise WorkerError(
+                        f"workers {sorted(pending)} not ready after {timeout:g} s"
+                    )
+                continue
+            if kind == "error":
+                raise WorkerError(f"worker {worker_id} failed to start: {payload}")
+            self._stats[worker_id] = payload
+            pending.discard(worker_id)
 
     def _spawn_process(self, worker_id, task_queue, fault_plan):
         process = self._ctx.Process(
@@ -723,7 +761,7 @@ class WorkerPool:
         to the least-loaded healthy one.
 
         ``trace`` optionally carries ``(trace_id, span_id)`` contexts —
-        one per traced origin request — across the spawn boundary; the
+        one per traced origin request — across the process boundary; the
         worker's span records come back with the reply and land in this
         process's :func:`repro.tracing.get_tracer` ring.
 
@@ -921,10 +959,14 @@ class WorkerPool:
     def metrics(self) -> MetricsRegistry:
         """Merged metrics across every worker plus the pool's own counters.
 
-        Counters and gauges sum, histograms merge bucket-wise, so the pool
-        totals (``rwr.queries``, ``rwr.queries.unconverged``, latency
+        Counters sum and histograms merge bucket-wise, so the pool totals
+        (``rwr.queries``, ``rwr.queries.unconverged``, latency
         distributions) match what a single-process run of the same batches
-        would have recorded.  Supervision counters
+        would have recorded.  The worker gauges (``serve.load.seconds``,
+        ``serve.uptime.seconds``, ``serve.rss.bytes``,
+        ``serve.bundle_rss.bytes``) are per-process levels and merge by
+        max: the bundle's pages are shared, so a sum would count each
+        once per worker.  Supervision counters
         (``rwr.serve.worker_restarts``, ``rwr.serve.request_retries``) are
         recorded pool-side and merged in.
         """

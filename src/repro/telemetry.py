@@ -16,10 +16,12 @@ dict keys:
   snapshots and :meth:`MetricsRegistry.to_prometheus` for the Prometheus
   text exposition format;
 - merging — worker processes ship :meth:`MetricsRegistry.snapshot` dicts
-  to the pool, which folds them with :func:`merge_snapshots` (counters and
-  gauges sum, histograms merge bucket-wise), so
+  to the pool, which folds them with :func:`merge_snapshots` (counters
+  sum, histograms merge bucket-wise), so
   :meth:`repro.serve.WorkerPool.metrics` sees the same totals a
-  single-process run would.
+  single-process run would.  Gauges merge by max: each is a level of one
+  process (RSS, the resident bundle, load time, uptime), and a sum would
+  count a page shared by every worker once per worker.
 
 Instrumented code does not pass registries around.  It records into the
 *ambient* registry — a context-variable that defaults to a process-global
@@ -586,11 +588,15 @@ class MetricsRegistry:
         }
 
     def merge_snapshot(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a snapshot in: counters/gauges sum, histograms bucket-wise."""
+        """Fold a snapshot in: counters sum, gauges keep the max, histograms
+        merge bucket-wise."""
         for name, entry in snapshot.get("counters", {}).items():
             self.counter(name, help=entry.get("help", "")).inc(float(entry["value"]))
         for name, entry in snapshot.get("gauges", {}).items():
-            self.gauge(name, help=entry.get("help", "")).inc(float(entry["value"]))
+            seen = name in self._metrics
+            gauge = self.gauge(name, help=entry.get("help", ""))
+            value = float(entry["value"])
+            gauge.set(max(gauge.value, value) if seen else value)
         for name, entry in snapshot.get("histograms", {}).items():
             incoming = Histogram(name, entry["buckets"], entry.get("help", ""))
             incoming._counts = [int(c) for c in entry["counts"]]
@@ -772,9 +778,10 @@ def span(name: str, buckets: Optional[Iterable[float]] = None):
 
 
 def merge_snapshots(snapshots: Iterable[Mapping[str, Any]]) -> MetricsRegistry:
-    """Merge worker snapshots into one registry: counters and gauges sum,
-    histograms merge bucket-wise (the associative fold
-    :meth:`repro.serve.WorkerPool.metrics` relies on)."""
+    """Merge worker snapshots into one registry: counters sum, gauges keep
+    the max (each is one process's level), histograms merge bucket-wise
+    (the associative fold :meth:`repro.serve.WorkerPool.metrics` relies
+    on)."""
     merged = MetricsRegistry()
     for snapshot in snapshots:
         merged.merge_snapshot(snapshot)

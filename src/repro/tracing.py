@@ -11,7 +11,7 @@ timing to the worker's.  This module adds the connective tissue:
   64-bit ``trace_id`` per sampled request and the context rides along on
   :mod:`repro.wire` request frames (protocol v2) and through
   :class:`~repro.serve.WorkerPool` task tuples, so the worker's engine
-  spans join the *caller's* trace across both the socket and the spawn
+  spans join the *caller's* trace across both the socket and the process
   boundary.
 - :func:`activate` — installs contexts as the ambient trace for a block;
   :meth:`repro.telemetry.MetricsRegistry.span` picks them up, so the
@@ -69,7 +69,17 @@ DEFAULT_LOG_CAPACITY = 20000
 LOG_FLUSH_EVERY = 200
 
 _RNG = random.Random()
-_RNG.seed(int.from_bytes(os.urandom(8), "big"))
+
+
+def _reseed_ids() -> None:
+    _RNG.seed(int.from_bytes(os.urandom(8), "big"))
+
+
+_reseed_ids()
+# Python reseeds only the random module's own generator at fork: without
+# this, every worker forked from one server would mint the same ids.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reseed_ids)
 
 
 class TraceContext(NamedTuple):
@@ -141,7 +151,7 @@ def activate(contexts: Sequence[TraceContext]):
 @contextmanager
 def capture():
     """Collect records emitted in the block into a list instead of the
-    tracer (workers ship the list back across the spawn boundary)."""
+    tracer (workers ship the list back across the process boundary)."""
     records: List[Dict[str, Any]] = []
     token = _CAPTURE.set(records)
     try:

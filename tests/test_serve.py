@@ -471,6 +471,23 @@ class TestResidentBundle:
             (resident,) = pool.bundle_rss_bytes()
             assert 0 < resident <= artifact_nbytes(store.current_path())
 
+    def test_two_workers_merged_gauge_stays_within_the_bundle(
+        self, served_solver, tmp_path
+    ):
+        """Both workers map the same pages: the merged gauge is the larger
+        worker's figure, not the sum, so it never exceeds the bundle."""
+        from repro import artifact_nbytes
+
+        store = ArtifactStore(tmp_path / "store")
+        store.publish(served_solver)
+        with WorkerPool(store.root, n_workers=2, timeout=120) as pool:
+            pool.query_many_each(list(range(20)))
+            bundle = artifact_nbytes(store.current_path())
+            per_worker = pool.bundle_rss_bytes()
+            assert sum(per_worker) > bundle  # a sum would overstate it
+            gauge = pool.metrics().snapshot()["gauges"]["serve.bundle_rss.bytes"]
+            assert 0 < gauge["value"] <= bundle
+
     def test_mapped_rss_counts_touched_pages_up_to_file_size(self, tmp_path):
         from repro.bench.memory import mapped_rss_bytes
 

@@ -47,6 +47,32 @@ def scatter_seeds(served_solver):
     return list(range(min(12, served_solver.graph.n_nodes)))
 
 
+class TestBootSupervision:
+    def test_worker_killed_before_ready_fails_the_boot_at_once(
+        self, artifact_dir, monkeypatch
+    ):
+        """The pool watches its workers while they open the bundle: one
+        killed before it reports ready fails the boot within a second or
+        two, not after the boot timeout, and takes the others down."""
+        started = []
+        spawn = WorkerPool._spawn_process
+
+        def spawn_then_kill(self, worker_id, task_queue, fault_plan):
+            process = spawn(self, worker_id, task_queue, fault_plan)
+            started.append(process)
+            if worker_id == 1:
+                process.kill()
+            return process
+
+        monkeypatch.setattr(WorkerPool, "_spawn_process", spawn_then_kill)
+        began = time.monotonic()
+        with pytest.raises(WorkerError, match="worker 1 died before it was ready"):
+            WorkerPool(artifact_dir, n_workers=2, timeout=60)
+        assert time.monotonic() - began < 5.0
+        assert len(started) == 2
+        assert not any(process.is_alive() for process in started)
+
+
 class TestCrashRecovery:
     def test_sigkill_mid_scatter_returns_bit_identical_scores(
         self, served_solver, artifact_dir, scatter_seeds

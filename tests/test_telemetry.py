@@ -110,6 +110,19 @@ class TestHistogramMerge:
         with pytest.raises(InvalidParameterError):
             a.merge(b)
 
+    def test_gauges_merge_by_max_not_sum(self):
+        """A gauge is one process's level: merged, it keeps the largest, so
+        a page every worker shares is not counted once per worker."""
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.gauge("serve.rss.bytes").set(300.0)
+        b.gauge("serve.rss.bytes").set(500.0)
+        a.gauge("level").set(-2.0)
+        b.gauge("level").set(-5.0)
+        merged = merge_snapshots([a.snapshot(), b.snapshot()])
+        assert merged.get("serve.rss.bytes").value == 500.0
+        assert merged.get("level").value == -2.0
+        assert MetricsRegistry.from_snapshot(b.snapshot()).get("level").value == -5.0
+
     def test_merge_is_associative_across_simulated_workers(self):
         rng = np.random.default_rng(11)
         worker_values = [rng.exponential(0.01, size=40) for _ in range(3)]

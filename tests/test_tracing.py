@@ -233,6 +233,26 @@ class TestSpawnBoundaryPropagation:
         assert tracer.records() == []
 
 
+class TestForkedWorkerIds:
+    def test_workers_of_one_and_of_successive_pools_mint_distinct_ids(
+        self, artifact_dir, tracer
+    ):
+        """Workers are forked from one server that has imported
+        ``repro.tracing``: each must reseed its id generator, or two
+        workers (and the workers of the next pool) mint the same ids."""
+        for _ in range(2):
+            with WorkerPool(artifact_dir, n_workers=2, timeout=120) as pool:
+                for worker in range(2):
+                    pool.query_many(
+                        [1], worker=worker,
+                        trace=[(tracing.mint_id(), tracing.mint_id())],
+                    )
+        records = tracer.records()
+        assert len({r["pid"] for r in records}) == 4
+        span_ids = [r["span_id"] for r in records]
+        assert len(span_ids) == len(set(span_ids))
+
+
 class TestGatewayTracePropagation:
     """Real sockets: gateway -> PoolServer -> worker, one trace end to end."""
 
